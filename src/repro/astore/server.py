@@ -31,6 +31,7 @@ from ..common import (
     SegmentNotFoundError,
     StaleRouteError,
     StorageError,
+    slotted_dataclass,
 )
 from ..obs import obs_of
 from ..sim.core import Environment
@@ -78,7 +79,7 @@ class SegmentBitmap:
         return self._bits[index]
 
 
-@dataclass
+@slotted_dataclass
 class _Entry:
     """One appended record inside a segment."""
 

@@ -44,8 +44,11 @@ JSON report and exits non-zero on any violation.
 ``perf`` runs the wall-clock performance harness
 (:mod:`repro.harness.perfbench`): kernel microbench plus TPC-C/chaos/serve
 macro slices, reporting events/sec, sim-to-wall ratio, and peak RSS.  It
-writes ``benchmarks/BENCH_wallclock.json`` and exits non-zero if the
-same-seed determinism gate (double-run report digests) fails.
+writes ``benchmarks/BENCH_wallclock.json`` (or ``--out``) with
+``BENCH_columnar.json`` and ``BENCH_mux.json`` beside it, and exits
+non-zero if the same-seed determinism gate (double-run report digests)
+or a regression gate against the committed ``benchmarks/`` reports
+fails.
 
 ``trace`` runs a short TPC-C smoke workload with span tracing enabled and
 emits Chrome ``trace_event`` JSON (load it at ``chrome://tracing`` or
@@ -432,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf_parser.add_argument("--profile", action="store_true",
                              help="print cProfile top frames of the microbench")
     perf_parser.add_argument("--out", default="benchmarks/BENCH_wallclock.json",
-                             help="where to write the JSON report")
+                             help="where to write the JSON report; the "
+                                  "columnar and mux reports go beside it")
     perf_parser.add_argument("--no-gate", action="store_true",
                              help="skip the serve events/sec regression gate "
                                   "against the committed baseline")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "KB",
@@ -26,6 +26,7 @@ __all__ = [
     "QueryError",
     "TransactionAborted",
     "OverloadError",
+    "slotted_dataclass",
 ]
 
 KB = 1024
@@ -36,6 +37,27 @@ MS = 1e-3
 
 #: Default database page size (InnoDB-style 16 KB, as in the paper).
 PAGE_SIZE = 16 * KB
+
+
+def slotted_dataclass(cls):
+    """``@dataclass`` whose instances use ``__slots__`` instead of a dict.
+
+    ``dataclass(slots=True)`` needs Python 3.10; this does the same on
+    3.9: build the dataclass, then rebuild the class with one slot per
+    field and without the field defaults as class attributes (the
+    generated ``__init__`` carries them).  For high-volume records such
+    as REDO records and their page operations.  Fields may not use
+    ``default_factory``.
+    """
+    cls = dataclass(cls)
+    names = tuple(f.name for f in fields(cls))
+    body = {
+        key: value for key, value in cls.__dict__.items()
+        if key not in names and key not in ("__dict__", "__weakref__")
+    }
+    body["__slots__"] = names
+    body["__qualname__"] = cls.__qualname__
+    return type(cls)(cls.__name__, cls.__bases__, body)
 
 
 @dataclass(frozen=True, order=True)

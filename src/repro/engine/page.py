@@ -14,10 +14,9 @@ byte occupancy so fill factors and working-set sizes are honest.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..common import PAGE_SIZE, PageId, ReproError
+from ..common import PAGE_SIZE, PageId, ReproError, slotted_dataclass
 
 __all__ = ["Page", "PageOp", "apply_op", "PAGE_HEADER_BYTES", "SLOT_OVERHEAD"]
 
@@ -31,7 +30,7 @@ class PageFullError(ReproError):
     """The row does not fit in the page's free space."""
 
 
-@dataclass
+@slotted_dataclass
 class PageOp:
     """One REDO-logged mutation of a single page.
 

@@ -21,10 +21,9 @@ detector in :mod:`repro.shard.robustness`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..common import PageId, TransactionAborted
+from ..common import PageId, TransactionAborted, slotted_dataclass
 from ..sim.core import AnyOf, Environment, Event
 from ..sim.resources import Resource
 from .page import PageOp
@@ -33,7 +32,7 @@ from .wal import RedoRecord
 __all__ = ["LockManager", "Transaction", "UndoEntry"]
 
 
-@dataclass
+@slotted_dataclass
 class UndoEntry:
     """Inverse operation to apply if the transaction rolls back."""
 
@@ -163,6 +162,7 @@ class LockManager:
                 request.cancel()
                 if request.triggered:
                     lock.release(request)
+                    self._prune(key, lock)
                 if kill.triggered:
                     self.deadlocks += 1
                     raise TransactionAborted(
@@ -185,7 +185,17 @@ class LockManager:
             lock = self._locks.get(key)
             if lock is not None:
                 lock.release(request)
+                self._prune(key, lock)
         txn.locks.clear()
+
+    def _prune(self, key: Any, lock: Resource) -> None:
+        """Drop ``key``'s lock once nobody holds or waits for it.
+
+        A released row lock with an empty queue carries no state, so the
+        table holds only keys in use instead of every key ever locked.
+        """
+        if lock.count == 0 and lock.queue_length == 0:
+            del self._locks[key]
 
     # -- global deadlock detection hooks -------------------------------
     def wait_edges(self) -> List[Tuple[int, int, Any]]:

@@ -15,17 +15,17 @@ the commit latency under load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from ..common import PageId
+from ..common import PageId, slotted_dataclass
 from ..sim.core import Environment, Event
 from .page import PageOp
 
 __all__ = ["RedoRecord", "LsnAllocator", "LogBuffer", "encode_records_size"]
 
 
-@dataclass
+@slotted_dataclass
 class RedoRecord:
     """One page-level REDO record.
 
@@ -115,7 +115,7 @@ class LogBuffer:
         self.env = env
         self.flush_fn = flush_fn
         self.max_batch_bytes = max_batch_bytes
-        self._pending: List[Tuple[RedoRecord, Optional[Event]]] = []
+        self._pending: Deque[Tuple[RedoRecord, Optional[Event]]] = deque()
         self._wakeup: Optional[Event] = None
         self.persistent_lsn = 0
         self.flushes = 0
@@ -160,7 +160,7 @@ class LogBuffer:
             batch: List[Tuple[RedoRecord, Optional[Event]]] = []
             batch_bytes = 0
             while self._pending and batch_bytes < self.max_batch_bytes:
-                record, done = self._pending.pop(0)
+                record, done = self._pending.popleft()
                 batch.append((record, done))
                 batch_bytes += record.log_bytes
             records = [record for record, _ in batch]

@@ -435,21 +435,6 @@ def bench_ch_slice(quick: bool = False) -> Dict[str, Any]:
     }
 
 
-def _prior_ch_speedup(out: Optional[str]) -> Optional[float]:
-    """The CH-slice speedup recorded in the committed columnar JSON."""
-    if not out:
-        return None
-    try:
-        with open(out) as fh:
-            prior = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    speedup = prior.get("ch_slice", {}).get("speedup")
-    if isinstance(speedup, (int, float)) and speedup > 0:
-        return float(speedup)
-    return None
-
-
 #: Keys in the microbench read table.
 _MICRO_KEYS = 60
 
@@ -723,85 +708,46 @@ def _profile_serve(top: int = 15) -> str:
     return buf.getvalue()
 
 
-def _prior_serve_wall(out: Optional[str]) -> Optional[float]:
-    """The serve-slice wall seconds recorded in the committed bench JSON.
+def _committed_value(path: str, *keys: str) -> Optional[float]:
+    """The positive number at ``keys`` in a committed JSON report.
 
-    The slice runs a fixed scenario, so wall time is the regression
-    metric - events/sec stopped being comparable across commits once
-    event-coalescing optimizations started changing the events needed
-    per statement.  Returns None when the file is missing, unreadable,
-    or predates the field - the regression gate then skips rather than
-    fails.
+    None when the file is missing or unreadable or predates the field;
+    the gate that needs it then skips rather than fails.
     """
-    if not out:
-        return None
     try:
-        with open(out) as fh:
-            prior = json.load(fh)
+        with open(path) as fh:
+            value = json.load(fh)
     except (OSError, ValueError):
         return None
-    wall = prior.get("current", {}).get("serve_slice", {}).get("wall_s")
-    if isinstance(wall, (int, float)) and wall > 0:
-        return float(wall)
+    for key in keys:
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, (int, float)) and value > 0:
+        return float(value)
     return None
 
 
-def _frozen_micro_baseline(mux_out: Optional[str],
-                           out: Optional[str]) -> Optional[float]:
-    """The pre-multiplexing serve-micro statements/sec (the 5x denominator).
-
-    The mux headline is "5x over the 4-session serve_micro ceiling the
-    mux replaced", so the denominator must stay *frozen* at that
-    ceiling: once a committed ``BENCH_mux.json`` carries it in its
-    ``baseline`` block, that value wins.  Only a first-ever run (no mux
-    baseline yet) falls back to the committed wallclock file's
-    serve_micro rate - later serve-path speedups must not move the
-    goalpost.
-    """
-    if mux_out:
-        try:
-            with open(mux_out) as fh:
-                prior = json.load(fh)
-        except (OSError, ValueError):
-            prior = {}
-        rate = prior.get("baseline", {}).get("serve_micro_statements_per_sec")
-        if isinstance(rate, (int, float)) and rate > 0:
-            return float(rate)
-    if not out:
-        return None
-    try:
-        with open(out) as fh:
-            prior = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    rate = prior.get("current", {}).get("serve_micro", {}).get(
-        "statements_per_sec")
-    if isinstance(rate, (int, float)) and rate > 0:
-        return float(rate)
-    return None
+#: The committed reports whose recorded values the regression gates
+#: compare against, wherever the new reports are written.
+COMMITTED_WALLCLOCK = "benchmarks/BENCH_wallclock.json"
+COMMITTED_COLUMNAR = "benchmarks/BENCH_columnar.json"
+COMMITTED_MUX = "benchmarks/BENCH_mux.json"
 
 
-def _prior_mux_rate(mux_out: Optional[str]) -> Optional[float]:
-    """The mux statements/sec recorded in the committed BENCH_mux.json."""
-    if not mux_out:
-        return None
-    try:
-        with open(mux_out) as fh:
-            prior = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    rate = prior.get("current", {}).get("mux", {}).get("statements_per_sec")
-    if isinstance(rate, (int, float)) and rate > 0:
-        return float(rate)
-    return None
+def _write_report(path: str, payload: Dict[str, Any],
+                  echo: Callable[[str], None]) -> None:
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    echo("wrote %s" % path)
 
 
 def run_perf(
     quick: bool = False,
     profile: bool = False,
-    out: Optional[str] = "benchmarks/BENCH_wallclock.json",
-    columnar_out: Optional[str] = "benchmarks/BENCH_columnar.json",
-    mux_out: Optional[str] = "benchmarks/BENCH_mux.json",
+    out: Optional[str] = COMMITTED_WALLCLOCK,
     echo: Callable[[str], None] = print,
     gate: bool = True,
 ) -> int:
@@ -815,12 +761,33 @@ def run_perf(
     against the values recorded in the committed JSON files and fails on
     a >20% regression (the CI perf-smoke gate); each check skips silently
     when its committed file predates the field.
+
+    The report goes to ``out``; the columnar and mux reports go next to
+    it as ``BENCH_columnar.json`` and ``BENCH_mux.json``.  ``out=None``
+    writes no report.
     """
-    # Read the committed baselines before this run overwrites them.
-    prior_serve_wall = _prior_serve_wall(out) if gate else None
-    prior_ch_speedup = _prior_ch_speedup(columnar_out) if gate else None
-    prior_micro_rate = _frozen_micro_baseline(mux_out, out) if gate else None
-    prior_mux_rate = _prior_mux_rate(mux_out) if gate else None
+    # The gates' baselines, read from the committed reports before this
+    # run may overwrite them.  The serve slice runs a fixed scenario, so
+    # its wall time is the regression metric (events/sec stopped being
+    # comparable once event coalescing changed the events per statement).
+    # The mux headline is "5x over the 4-session serve_micro ceiling the
+    # mux replaced", so that denominator stays frozen in BENCH_mux.json's
+    # baseline block; only a first-ever run falls back to the wallclock
+    # report's serve_micro rate, so serve-path speedups never move it.
+    prior_serve_wall = prior_ch_speedup = None
+    prior_micro_rate = prior_mux_rate = None
+    if gate:
+        prior_serve_wall = _committed_value(
+            COMMITTED_WALLCLOCK, "current", "serve_slice", "wall_s")
+        prior_ch_speedup = _committed_value(
+            COMMITTED_COLUMNAR, "ch_slice", "speedup")
+        prior_micro_rate = _committed_value(
+            COMMITTED_MUX, "baseline", "serve_micro_statements_per_sec"
+        ) or _committed_value(
+            COMMITTED_WALLCLOCK, "current", "serve_micro",
+            "statements_per_sec")
+        prior_mux_rate = _committed_value(
+            COMMITTED_MUX, "current", "mux", "statements_per_sec")
 
     reps = 3 if quick else 8
     echo("kernel microbench (%d reps)..." % reps)
@@ -995,14 +962,7 @@ def run_perf(
 
     if out:
         out_dir = os.path.dirname(out)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        echo("wrote %s" % out)
-
-    if columnar_out:
+        _write_report(out, payload, echo)
         columnar_payload = {
             "protocol": {
                 "python": platform.python_version(),
@@ -1015,15 +975,8 @@ def run_perf(
             "ch_slice": ch,
             "ch_regression_gate": ch_gate,
         }
-        columnar_dir = os.path.dirname(columnar_out)
-        if columnar_dir:
-            os.makedirs(columnar_dir, exist_ok=True)
-        with open(columnar_out, "w") as fh:
-            json.dump(columnar_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        echo("wrote %s" % columnar_out)
-
-    if mux_out:
+        _write_report(os.path.join(out_dir, "BENCH_columnar.json"),
+                      columnar_payload, echo)
         mux_payload = {
             "protocol": {
                 "python": platform.python_version(),
@@ -1048,13 +1001,8 @@ def run_perf(
             },
             "mux_gate": mux_gate,
         }
-        mux_dir = os.path.dirname(mux_out)
-        if mux_dir:
-            os.makedirs(mux_dir, exist_ok=True)
-        with open(mux_out, "w") as fh:
-            json.dump(mux_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        echo("wrote %s" % mux_out)
+        _write_report(os.path.join(out_dir, "BENCH_mux.json"), mux_payload,
+                      echo)
 
     echo("kernel speedup vs pre-fast-path baseline: %.2fx" % speedup)
     echo("serve slice speedup vs pre-serve-fast-path baseline: %.2fx"

@@ -366,6 +366,8 @@ class _Condition(Event):
         for event in self.events:
             if event.callbacks is None:
                 check(event)
+                if self._value is not PENDING:
+                    break  # fired: register on nothing further
             else:
                 event.callbacks.append(check)
         if not self.events and self._value is PENDING:
@@ -373,6 +375,24 @@ class _Condition(Event):
 
     def _init_state(self) -> None:
         """Subclass hook run before any ``_check`` can fire."""
+
+    def _detach(self) -> None:
+        """Unregister from every constituent still pending.
+
+        Called when the condition fires: a pending constituent (typically
+        a losing deadline that stays queued for seconds) must not keep
+        this condition, its waiter and its result alive.  A ``_check``
+        arriving after the condition fired is a no-op, so dropping it
+        changes no simulated result.
+        """
+        check = self._check
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks:
+                try:
+                    callbacks.remove(check)
+                except ValueError:
+                    pass  # fired during construction before registering
 
     def _collect(self) -> dict:
         # ``callbacks is None`` is the processed check, inlined past the
@@ -405,6 +425,7 @@ class AllOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._detach()
             return
         self._pending -= 1
         if self._pending == 0:
@@ -422,8 +443,9 @@ class AnyOf(_Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self.succeed(self._collect())
+        else:
+            self.succeed(self._collect())
+        self._detach()
 
 
 def _defuse(event: Event) -> None:

@@ -188,6 +188,56 @@ def test_deadlock_detected_and_victim_aborted():
     assert engine.locks.deadlocks == 1
 
 
+def test_lock_table_holds_only_keys_in_use():
+    dep = make_deployment(lock_wait_timeout=0.01)
+    engine = dep.engine
+    locks = engine.locks
+
+    def in_use(key):
+        lock = locks._locks[key]
+        return lock.count > 0 or lock.queue_length > 0
+
+    def setup(env):
+        txn = engine.begin()
+        for i in range(5):
+            yield from engine.insert(txn, "accounts", [i, "u%d" % i, 0.0])
+        yield from engine.commit(txn)
+        txn = engine.begin()
+        yield from engine.update(txn, "accounts", (1,), {"balance": 1.0})
+        yield from engine.rollback(txn)
+
+    run(dep, setup(dep.env))
+    assert locks._locks == {}  # after commit and rollback
+
+    seen = []
+
+    def holder(env):
+        txn = engine.begin()
+        yield from engine.update(txn, "accounts", (2,), {"balance": 2.0})
+        yield env.timeout(0.05)
+        seen.extend((key, in_use(key)) for key in locks._locks)
+        yield from engine.commit(txn)
+
+    def waiter(env):
+        yield env.timeout(0.001)
+        txn = engine.begin()
+        yield from engine.update(txn, "accounts", (3,), {"balance": 3.0})
+        try:
+            yield from engine.update(txn, "accounts", (2,), {"balance": 9.0})
+        except TransactionAborted:
+            yield from engine.rollback(txn)
+
+    from repro.sim.core import AllOf
+
+    procs = [dep.env.process(holder(dep.env)),
+             dep.env.process(waiter(dep.env))]
+    dep.env.run_until_event(AllOf(dep.env, procs))
+    assert locks.timeouts == 1
+    # After the waiter's timeout only the holder's row is left, held.
+    assert len(seen) == 1 and seen[0][1]
+    assert locks._locks == {}
+
+
 def test_pages_flow_to_pagestore():
     dep = make_deployment()
     engine = dep.engine

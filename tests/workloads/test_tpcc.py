@@ -183,3 +183,24 @@ def test_run_one_records_latency_and_commits():
     assert client.committed + client.aborted == 10
     assert client.latencies.count == client.committed
     assert client.latencies.mean > 0
+
+
+def test_short_run_leaves_no_finished_processes_behind():
+    # A finished process is released once its waiters resumed, even when
+    # the deadline it raced (the 1 s replica-write and 2 s lock-wait
+    # timeouts) is still queued: what stays are the daemons.
+    import gc
+
+    from repro.sim.core import Process
+    from repro.workloads.tpcc import run_tpcc
+
+    clients = 4
+    dep = Deployment(DeploymentConfig.astore_log(seed=11))
+    dep.start()
+    _, aggregate, _ = run_tpcc(dep, SMALL, clients=clients, duration=0.02)
+    assert aggregate.count > 100
+    gc.collect()
+    procs = [obj for obj in gc.get_objects() if type(obj) is Process]
+    daemons = sum(1 for proc in procs if proc.is_alive)
+    assert daemons < 30
+    assert len(procs) <= daemons + clients + 8
