@@ -52,7 +52,7 @@ from ..shard import (
     ShardVectorToken,
     merge_partial_results,
     merge_select_results,
-    scatter_needs_partials,
+    scatter_select,
 )
 from .admission import AdmissionController
 from .fleet import ReplicaFleet, ReplicaHandle
@@ -769,12 +769,17 @@ class SqlProxy:
                 cut = [
                     engine.log.persistent_lsn for engine in self.engines
                 ]
-            partials = scatter_needs_partials(statement)
+            partials = bool(statement.has_aggregates or statement.group_by)
+            leg_statement = (
+                statement if partials else scatter_select(statement)
+            )
+            if leg_statement is not statement:
+                sql = None  # hidden ORDER BY items: legs run the new AST
             results = []
             for shard in shards:
                 if partials:
-                    # AVG/DISTINCT/composite aggregates: each leg ships
-                    # pre-finalize accumulator states for a global merge.
+                    # Aggregates: each leg ships pre-finalize states for
+                    # one global merge and finalize.
                     def replica_leg(handle, arg, shard=shard):
                         return self.replica_session(
                             handle, shard).execute_partial_select(arg)
@@ -783,7 +788,7 @@ class SqlProxy:
                         return self.primary_session_for(
                             shard).execute_partial_select(arg)
 
-                    arg = statement
+                    arg = leg_statement
                 elif sql is not None:
                     def replica_leg(handle, arg, shard=shard):
                         return self.replica_session(handle, shard).execute(arg)
@@ -801,7 +806,7 @@ class SqlProxy:
                         return self.primary_session_for(
                             shard).execute_statement(arg)
 
-                    arg = statement
+                    arg = leg_statement
                 results.append((
                     yield from self._route(
                         session, replica_leg, primary_leg, (arg,), shard,

@@ -52,6 +52,15 @@ from .ast import (
     UnaryOp,
     Update,
 )
+from .aggstate import (
+    AggState,
+    Groups,
+    finalize_groups,
+    group_rows,
+    merge_partials,
+    new_states,
+    partial_pairs,
+)
 from .cache import ParseCache, bind_plan, bind_statement, parse_entry
 from .columnar import (
     ColumnBatch,
@@ -75,8 +84,8 @@ from .plan import (
 from .planner import Planner, PlannerConfig
 
 __all__ = ["QuerySession", "QueryResult", "PreparedStatement",
-           "AggAccumulator", "new_agg_states", "update_agg_states",
-           "merge_agg_states", "finalize_agg_states", "vector_group_by"]
+           "eval_with_aggs", "project_row", "order_key", "shape_result",
+           "vector_group_by"]
 
 #: CPU charged per row flowing through a tight operator loop.
 ROW_CPU = 0.25 * US
@@ -94,85 +103,6 @@ class QueryResult:
 
     def as_dicts(self) -> List[Dict[str, Any]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-# ---------------------------------------------------------------------------
-# Aggregate accumulators (shared with the push-down runtime)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AggAccumulator:
-    """Partial state for one aggregate call."""
-
-    count: int = 0
-    total: float = 0.0
-    minimum: Any = None
-    maximum: Any = None
-    distinct: Optional[set] = None
-
-
-def new_agg_states(aggs: Sequence[AggCall]) -> List[AggAccumulator]:
-    return [
-        AggAccumulator(distinct=set() if agg.distinct else None) for agg in aggs
-    ]
-
-
-def update_agg_states(
-    states: List[AggAccumulator], aggs: Sequence[AggCall], row: Dict[str, Any]
-) -> None:
-    for state, agg in zip(states, aggs):
-        if agg.argument is None:  # COUNT(*)
-            state.count += 1
-            continue
-        value = agg.argument.eval(row)
-        if value is None:
-            continue
-        if agg.distinct:
-            state.distinct.add(value)
-            continue
-        state.count += 1
-        if agg.func in ("sum", "avg"):
-            state.total += value
-        elif agg.func == "min":
-            state.minimum = value if state.minimum is None else min(state.minimum, value)
-        elif agg.func == "max":
-            state.maximum = value if state.maximum is None else max(state.maximum, value)
-
-
-def merge_agg_states(
-    into: List[AggAccumulator], other: List[AggAccumulator], aggs: Sequence[AggCall]
-) -> None:
-    for state, extra, agg in zip(into, other, aggs):
-        if agg.distinct:
-            state.distinct |= extra.distinct
-            continue
-        state.count += extra.count
-        state.total += extra.total
-        for attr, pick in (("minimum", min), ("maximum", max)):
-            mine, theirs = getattr(state, attr), getattr(extra, attr)
-            if theirs is not None:
-                setattr(state, attr, theirs if mine is None else pick(mine, theirs))
-
-
-def finalize_agg_states(
-    states: List[AggAccumulator], aggs: Sequence[AggCall]
-) -> Dict[AggCall, Any]:
-    values: Dict[AggCall, Any] = {}
-    for state, agg in zip(states, aggs):
-        if agg.distinct:
-            values[agg] = len(state.distinct)
-        elif agg.func == "count":
-            values[agg] = state.count
-        elif agg.func == "sum":
-            values[agg] = state.total if state.count else None
-        elif agg.func == "avg":
-            values[agg] = (state.total / state.count) if state.count else None
-        elif agg.func == "min":
-            values[agg] = state.minimum
-        elif agg.func == "max":
-            values[agg] = state.maximum
-    return values
 
 
 def eval_with_aggs(expr: Expr, row: Dict[str, Any],
@@ -199,32 +129,72 @@ def eval_with_aggs(expr: Expr, row: Dict[str, Any],
     return expr.eval(row)
 
 
+def project_row(items: Sequence[SelectItem], columns: List[str],
+                row: Dict[str, Any]) -> Dict[str, Any]:
+    """One Project output row: every item's value under its output name,
+    then the source columns it does not shadow and the aggregate values,
+    so an ORDER BY above may name an output alias, a source column or an
+    aggregate expression."""
+    agg_values = row.get("__aggs__", {})
+    out = {}
+    for item, name in zip(items, columns):
+        out[name] = eval_with_aggs(item.expr, row, agg_values)
+    for key, value in row.items():
+        if key != "__aggs__" and key not in out:
+            out[key] = value
+    out["__columns__"] = columns
+    out["__aggs__"] = agg_values
+    return out
+
+
+def order_key(order_by: Sequence[Tuple[Expr, bool]]):
+    """The sort key of ORDER BY over projected rows (NULLs sort first
+    ascending, last descending)."""
+
+    def key(row):
+        agg_values = row.get("__aggs__", {})
+        return tuple(
+            _Reversible(eval_with_aggs(expr, row, agg_values), desc)
+            for expr, desc in order_by
+        )
+
+    return key
+
+
+def shape_result(columns: List[str], rows: List[Dict[str, Any]],
+                 order_by: Sequence[Tuple[Expr, bool]],
+                 limit: Optional[int]) -> QueryResult:
+    """ORDER BY, LIMIT and tuple shaping of projected rows, as the
+    Sort/Limit operators and :meth:`QuerySession.execute_plan` apply them."""
+    if order_by:
+        rows.sort(key=order_key(order_by))
+    if limit is not None:
+        rows = rows[:limit]
+    shaped = [tuple(row.get(c) for c in columns) for row in rows]
+    return QueryResult(columns, shaped)
+
+
 def vector_group_by(
     batch: ColumnBatch,
     group_exprs: Sequence[Expr],
     aggs: Sequence[AggCall],
-) -> Tuple[Dict[Tuple, List[AggAccumulator]], Dict[Tuple, int]]:
-    """Vectorized grouping over a column batch.
+) -> Groups:
+    """Vectorized grouping over a column batch, at weight 1.
 
-    Returns ``(groups, sample_index)``: accumulator states per group key
-    (dict insertion order = first-seen order) and, per key, the batch row
-    index of the group's first row (the row-mode "sample" row).  The
-    accumulation loop mirrors :func:`update_agg_states` row by row in
-    batch order, so float totals and min/max results are bit-identical to
-    row mode.  Shared with the storage-side push-down fragment executor.
-    Raises :class:`NotCompilable` when an expression cannot bind.
+    Returns the groups in first-seen order, each with its first row as
+    the sample row.  Every state folds its rows in batch order, as
+    :func:`~repro.query.aggstate.group_rows` folds row dicts, so float
+    totals and min/max results are bit-identical to row mode.  Shared
+    with the storage-side push-down fragment executor.  Raises
+    :class:`NotCompilable` when an expression cannot bind.
     """
     key_fns = [compile_batch_expr(expr, batch) for expr in group_exprs]
-    specs = []
-    for agg in aggs:
-        arg_fn = (
-            compile_batch_expr(agg.argument, batch)
-            if agg.argument is not None
-            else None
-        )
-        specs.append((arg_fn, agg.distinct, agg.func))
-    groups: Dict[Tuple, List[AggAccumulator]] = {}
-    sample_index: Dict[Tuple, int] = {}
+    arg_fns = [
+        compile_batch_expr(agg.argument, batch)
+        if agg.argument is not None
+        else None
+        for agg in aggs
+    ]
     if len(key_fns) == 1:
         key_fn = key_fns[0]
         keys_of = lambda i: (key_fn(i),)  # noqa: E731 - hot path
@@ -232,35 +202,33 @@ def vector_group_by(
         keys_of = lambda i: ()  # noqa: E731
     else:
         keys_of = lambda i: tuple(fn(i) for fn in key_fns)  # noqa: E731
+    # Pass 1 assigns each row its group slot; pass 2 folds one aggregate
+    # column at a time, each state still seeing its rows in batch order.
+    slot_of: Dict[Tuple, int] = {}
+    first_rows: List[int] = []
+    slots: List[int] = []
     for i in range(batch.n):
         key = keys_of(i)
-        states = groups.get(key)
-        if states is None:
-            states = new_agg_states(aggs)
-            groups[key] = states
-            sample_index[key] = i
-        for state, (arg_fn, distinct, func) in zip(states, specs):
-            if arg_fn is None:  # COUNT(*)
-                state.count += 1
-                continue
+        slot = slot_of.get(key)
+        if slot is None:
+            slot = slot_of[key] = len(first_rows)
+            first_rows.append(i)
+        slots.append(slot)
+    states_of = [new_states(aggs) for _ in first_rows]
+    for position, arg_fn in enumerate(arg_fns):
+        updates = [states[position].update for states in states_of]
+        if arg_fn is None:  # COUNT(*)
+            for slot in slots:
+                updates[slot](None, 1)
+            continue
+        for i, slot in enumerate(slots):
             value = arg_fn(i)
-            if value is None:
-                continue
-            if distinct:
-                state.distinct.add(value)
-                continue
-            state.count += 1
-            if func in ("sum", "avg"):
-                state.total += value
-            elif func == "min":
-                state.minimum = (
-                    value if state.minimum is None else min(state.minimum, value)
-                )
-            elif func == "max":
-                state.maximum = (
-                    value if state.maximum is None else max(state.maximum, value)
-                )
-    return groups, sample_index
+            if value is not None:
+                updates[slot](value, 1)
+    return {
+        key: (batch.row_dict(first_rows[slot]), states_of[slot])
+        for key, slot in slot_of.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +363,12 @@ class QuerySession:
     def execute_partial_select(self, statement: Select):
         """Generator: per-group *partial* aggregate states for one SELECT.
 
-        The scatter-gather merge cannot recombine AVG or DISTINCT from
-        finalized per-shard values; it needs the pre-finalize states
-        (sum+count, distinct value sets).  This runs the plan up to and
-        including the Aggregate node's grouping but skips finalize,
-        returning ``(aggregates, [(key, sample_row, states), ...])`` for
-        the router to merge with :func:`merge_agg_states`.
+        A scatter-gather aggregate merges pre-finalize states across
+        shards (AVG as sum+count, DISTINCT as value sets).  This runs the
+        plan up to and including the Aggregate node's grouping but skips
+        finalize, returning ``(aggregates, [((key, sample_row), states),
+        ...])`` for the router's
+        :func:`~repro.query.aggstate.merge_partials`.
         """
         plan = self.planner.plan_select(statement)
         node = plan
@@ -408,35 +376,10 @@ class QuerySession:
             node = node.child
         if not isinstance(node, Aggregate):
             raise QueryError("statement has no aggregate to run partially")
-        agg = node
-        child_rows, _ = yield from self._run(agg.child)
-        yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
-        groups: Dict[Tuple, List[AggAccumulator]] = {}
-        samples: Dict[Tuple, Dict[str, Any]] = {}
-        if agg.from_partials and self._are_partials(child_rows):
-            for group_key, states in child_rows:
-                key, sample = group_key
-                if key not in groups:
-                    groups[key] = states
-                    samples[key] = sample
-                else:
-                    merge_agg_states(groups[key], states, agg.aggregates)
-        else:
-            if self._are_partials(child_rows):
-                raise QueryError("unexpected partial aggregates")
-            for row in child_rows:
-                key = tuple(expr.eval(row) for expr in agg.group_exprs)
-                states = groups.get(key)
-                if states is None:
-                    states = new_agg_states(agg.aggregates)
-                    groups[key] = states
-                    samples[key] = row
-                update_agg_states(states, agg.aggregates, row)
+        child_rows, _ = yield from self._run(node.child)
+        groups = yield from self._group(node, child_rows)
         self.queries_executed += 1
-        return (
-            list(agg.aggregates),
-            [(key, samples[key], groups[key]) for key in groups],
-        )
+        return list(node.aggregates), partial_pairs(groups)
 
     def execute_point(self, point: "PointReadPlan", params: Sequence[Any]):
         """Generator: run a compiled prepared point read.
@@ -820,43 +763,13 @@ class QuerySession:
 
     def _vrun_aggregate(self, agg: Aggregate):
         kind, payload = yield from self._vrun(agg.child)
-        groups: Dict[Tuple, List[AggAccumulator]] = {}
-        samples: Dict[Tuple, Dict[str, Any]] = {}
         if kind == "partials":
-            partials = payload
-            yield from self.engine.cpu.consume(
-                ROW_CPU * max(len(partials), 1)
-            )
-            if agg.from_partials and self._are_partials(partials):
-                for group_key, states in partials:
-                    key, sample = group_key
-                    if key not in groups:
-                        groups[key] = states
-                        samples[key] = sample
-                    else:
-                        merge_agg_states(groups[key], states, agg.aggregates)
-            elif self._are_partials(partials):
-                raise QueryError("unexpected partial aggregates")
-            # An empty partials list degenerates to an empty input.
+            groups = yield from self._group(agg, payload)
         else:
-            batch = payload
-            yield from self.engine.cpu.consume(ROW_CPU * max(batch.n, 1))
-            groups, sample_index = vector_group_by(
-                batch, agg.group_exprs, agg.aggregates
-            )
-            samples = {
-                key: batch.row_dict(i) for key, i in sample_index.items()
-            }
-        if not groups and not agg.group_exprs:
-            groups[()] = new_agg_states(agg.aggregates)
-            samples[()] = {}
-        out: List[Dict[str, Any]] = []
-        for key, states in groups.items():
-            agg_values = finalize_agg_states(states, agg.aggregates)
-            row = dict(samples[key])
-            row["__aggs__"] = agg_values
-            out.append(row)
-        return ("rows", out)
+            yield from self.engine.cpu.consume(ROW_CPU * max(payload.n, 1))
+            groups = vector_group_by(payload, agg.group_exprs, agg.aggregates)
+        return ("rows", finalize_groups(groups, agg.aggregates,
+                                        bool(agg.group_exprs)))
 
     # -- joins ----------------------------------------------------------------
     def _run_hash_join(self, join: HashJoin):
@@ -923,46 +836,25 @@ class QuerySession:
     def _are_partials(rows: List[Any]) -> bool:
         return bool(rows) and isinstance(rows[0], tuple) and len(rows[0]) == 2 and \
             isinstance(rows[0][1], list) and (
-                not rows[0][1] or isinstance(rows[0][1][0], AggAccumulator)
+                not rows[0][1] or isinstance(rows[0][1][0], AggState)
             )
+
+    def _group(self, agg: Aggregate, child_rows: List[Any]):
+        """Generator: group row dicts, or merge storage-produced partials
+        (secondary aggregation); an empty partials list is an empty input."""
+        partials = self._are_partials(child_rows)
+        if partials and not agg.from_partials:
+            raise QueryError("unexpected partial aggregates")
+        yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
+        if partials:
+            return merge_partials(child_rows)
+        return group_rows(child_rows, agg.group_exprs, agg.aggregates)
 
     def _run_aggregate(self, agg: Aggregate):
         child_rows, _ = yield from self._run(agg.child)
-        groups: Dict[Tuple, List[AggAccumulator]] = {}
-        group_samples: Dict[Tuple, Dict[str, Any]] = {}
-        if agg.from_partials and self._are_partials(child_rows):
-            # Secondary aggregation over storage-produced partials.
-            yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
-            for group_key, states in child_rows:
-                key, sample = group_key
-                if key not in groups:
-                    groups[key] = states
-                    group_samples[key] = sample
-                else:
-                    merge_agg_states(groups[key], states, agg.aggregates)
-        else:
-            if self._are_partials(child_rows):
-                raise QueryError("unexpected partial aggregates")
-            yield from self.engine.cpu.consume(ROW_CPU * max(len(child_rows), 1))
-            for row in child_rows:
-                key = tuple(expr.eval(row) for expr in agg.group_exprs)
-                states = groups.get(key)
-                if states is None:
-                    states = new_agg_states(agg.aggregates)
-                    groups[key] = states
-                    group_samples[key] = row
-                update_agg_states(states, agg.aggregates, row)
-        if not groups and not agg.group_exprs:
-            # Global aggregate over zero rows still yields one output row.
-            groups[()] = new_agg_states(agg.aggregates)
-            group_samples[()] = {}
-        out: List[Dict[str, Any]] = []
-        for key, states in groups.items():
-            agg_values = finalize_agg_states(states, agg.aggregates)
-            row = dict(group_samples[key])
-            row["__aggs__"] = agg_values
-            out.append(row)
-        return out, None
+        groups = yield from self._group(agg, child_rows)
+        return finalize_groups(groups, agg.aggregates,
+                               bool(agg.group_exprs)), None
 
     # -- projection / sort ----------------------------------------------------
     def _run_project(self, project: Project):
@@ -977,20 +869,9 @@ class QuerySession:
             # Keep dict shape so Sort above Project can evaluate keys.
             return child_rows, columns
         columns = [item.output_name for item in project.items]
-        out_rows: List[Dict[str, Any]] = []
-        for row in child_rows:
-            agg_values = row.get("__aggs__", {})
-            out = {}
-            for item, name in zip(project.items, columns):
-                out[name] = eval_with_aggs(item.expr, row, agg_values)
-            # Retain source columns so ORDER BY can reference them.
-            for key, value in row.items():
-                if key != "__aggs__" and key not in out:
-                    out[key] = value
-            out["__columns__"] = columns
-            out["__aggs__"] = agg_values
-            out_rows.append(out)
-        return out_rows, columns
+        items = project.items
+        out = [project_row(items, columns, row) for row in child_rows]
+        return out, columns
 
     def _run_sort(self, sort: Sort):
         child_rows, columns = yield from self._run(sort.child)
@@ -1000,15 +881,7 @@ class QuerySession:
         yield from self.engine.cpu.consume(
             ROW_CPU * count * max(1.0, math.log2(count))
         )
-
-        def sort_key(row):
-            parts = []
-            for expr, desc in sort.order_by:
-                value = eval_with_aggs(expr, row, row.get("__aggs__", {}))
-                parts.append(_Reversible(value, desc))
-            return tuple(parts)
-
-        child_rows.sort(key=sort_key)
+        child_rows.sort(key=order_key(sort.order_by))
         return child_rows, columns
 
     # ------------------------------------------------------------------

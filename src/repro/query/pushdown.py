@@ -47,14 +47,8 @@ from .columnar import (
     compile_batch_predicate,
     decode_page_into,
 )
-from .executor import (
-    PAGE_CPU,
-    ROW_CPU,
-    AggAccumulator,
-    new_agg_states,
-    update_agg_states,
-    vector_group_by,
-)
+from .aggstate import DistinctState, group_rows, partial_pairs
+from .executor import PAGE_CPU, ROW_CPU, vector_group_by
 from .plan import SeqScan
 from .planner import GROUP_WIRE_BYTES, ROW_WIRE_BYTES
 from .predicate import NotCompilable
@@ -132,12 +126,8 @@ def execute_fragment_on_pages(fragment: PushdownFragment, pages: List[Page]):
         if fragment.partial_agg is None:
             return ("batch", batch), scanned
         group_exprs, aggs = fragment.partial_agg
-        groups, sample_index = vector_group_by(batch, group_exprs, aggs)
-        partials = [
-            ((key, batch.row_dict(sample_index[key])), states)
-            for key, states in groups.items()
-        ]
-        return ("partials", partials), scanned
+        groups = vector_group_by(batch, group_exprs, aggs)
+        return ("partials", partial_pairs(groups)), scanned
     except NotCompilable:
         return _execute_fragment_rowwise(fragment, pages)
 
@@ -145,15 +135,15 @@ def execute_fragment_on_pages(fragment: PushdownFragment, pages: List[Page]):
 def _execute_fragment_rowwise(fragment: PushdownFragment, pages: List[Page]):
     """Row-loop fallback, semantically identical to the vector paths."""
     scanned = 0
+    rows: List[Dict[str, Any]] = []
+    for page in pages:
+        for _slot, raw in page.slots():
+            scanned += 1
+            row = _bind(fragment, _decode(fragment, raw))
+            if fragment.filter is None or fragment.filter.eval(row):
+                rows.append(row)
     if fragment.hash_keys is not None:
         keys = fragment.batch_keys()
-        rows: List[Dict[str, Any]] = []
-        for page in pages:
-            for _slot, raw in page.slots():
-                scanned += 1
-                row = _bind(fragment, _decode(fragment, raw))
-                if fragment.filter is None or fragment.filter.eval(row):
-                    rows.append(row)
         key_tuples = [
             tuple(expr.eval(row) for expr in fragment.hash_keys)
             for row in rows
@@ -162,34 +152,10 @@ def _execute_fragment_rowwise(fragment: PushdownFragment, pages: List[Page]):
         batch = ColumnBatch(keys, arrays, len(rows))
         return ("hash", (key_tuples, batch)), scanned
     if fragment.partial_agg is None:
-        rows = []
-        for page in pages:
-            for _slot, raw in page.slots():
-                scanned += 1
-                values = _decode(fragment, raw)
-                row = _bind(fragment, values)
-                if fragment.filter is None or fragment.filter.eval(row):
-                    rows.append(row)
         return ("rows", rows), scanned
     group_exprs, aggs = fragment.partial_agg
-    groups: Dict[Tuple, List[AggAccumulator]] = {}
-    samples: Dict[Tuple, Dict[str, Any]] = {}
-    for page in pages:
-        for _slot, raw in page.slots():
-            scanned += 1
-            values = _decode(fragment, raw)
-            row = _bind(fragment, values)
-            if fragment.filter is not None and not fragment.filter.eval(row):
-                continue
-            key = tuple(expr.eval(row) for expr in group_exprs)
-            states = groups.get(key)
-            if states is None:
-                states = new_agg_states(aggs)
-                groups[key] = states
-                samples[key] = row
-            update_agg_states(states, aggs, row)
-    partials = [((key, samples[key]), states) for key, states in groups.items()]
-    return ("partials", partials), scanned
+    groups = group_rows(rows, group_exprs, aggs)
+    return ("partials", partial_pairs(groups)), scanned
 
 
 # The schema needed by _decode is carried out-of-band: fragments are shipped
@@ -482,10 +448,10 @@ class PushdownRuntime:
             return 64 + (ROW_WIRE_BYTES + HASH_KEY_WIRE_BYTES) * batch.n
         # partials: per-group state plus the shipped DISTINCT value sets.
         distinct_values = sum(
-            len(state.distinct)
+            len(state.values)
             for _group, states in payload
             for state in states
-            if state.distinct is not None
+            if isinstance(state, DistinctState)
         )
         return 64 + GROUP_WIRE_BYTES * len(payload) + 8 * distinct_values
 

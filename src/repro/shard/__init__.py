@@ -22,8 +22,7 @@ from .robustness import CommitFence, FenceTimeout, GlobalDeadlockDetector
 from .router import (
     merge_partial_results,
     merge_select_results,
-    scatter_needs_partials,
-    scatter_unsupported_reason,
+    scatter_select,
 )
 from .shardmap import ShardKeySpec, ShardMap
 from .token import ShardVectorToken
@@ -42,6 +41,5 @@ __all__ = [
     "ShardVectorToken",
     "merge_partial_results",
     "merge_select_results",
-    "scatter_needs_partials",
-    "scatter_unsupported_reason",
+    "scatter_select",
 ]

@@ -1,211 +1,138 @@
 """Scatter-gather SELECT merging for the sharded proxy.
 
-A multi-shard SELECT runs independently on every target shard; the
-per-shard :class:`~repro.query.executor.QueryResult`\\ s are merged here:
+A multi-shard SELECT runs independently on every target shard and the
+per-shard answers are merged here into what one engine holding every
+row would return:
 
 - plain selects concatenate (in shard order), then re-apply ORDER BY and
-  LIMIT globally;
-- ungrouped aggregates merge column-wise (COUNT/SUM add, MIN/MAX fold);
-- grouped aggregates merge rows sharing the same group key.
+  LIMIT globally with the executor's own sort key.  An ORDER BY term
+  that is not an output column rides along from each leg as a hidden
+  trailing item (:func:`scatter_select`), stripped after sorting;
+- aggregates (and GROUP BY) never merge finalized values: each shard
+  runs ``QuerySession.execute_partial_select`` (grouping without
+  finalize) and :func:`merge_partial_results` folds the partial states
+  with :func:`~repro.query.aggstate.merge_partials` (AVG as sum+count,
+  DISTINCT as value sets), finalizes once, and shapes through the
+  executor's projection, ORDER BY and LIMIT.
 
-AVG and DISTINCT aggregates are not decomposable from finalized
-per-shard values, so :func:`scatter_needs_partials` routes them through
-a two-phase plan instead: each shard runs
-``QuerySession.execute_partial_select`` (grouping without finalize) and
-:func:`merge_partial_results` folds the raw accumulator states —
-AVG as sum+count, DISTINCT as value-set union — then finalizes and
-shapes once, globally.  Joins scatter under the co-location assumption
-the ShardMap sets up: join partners either share the shard key
-(co-partitioned) or are replicated.
+Joins scatter under the co-location assumption the ShardMap sets up:
+join partners either share the shard key (co-partitioned) or are
+replicated.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Sequence, Tuple
 
-from ..common import QueryError
 from ..query import ast
-from ..query.executor import (
-    QueryResult,
-    _Reversible,
-    eval_with_aggs,
-    finalize_agg_states,
-    merge_agg_states,
-    new_agg_states,
-)
+from ..query.aggstate import Groups, finalize_groups, merge_partials
+from ..query.executor import QueryResult, project_row, shape_result
 
 __all__ = [
     "merge_partial_results",
     "merge_select_results",
-    "scatter_needs_partials",
-    "scatter_unsupported_reason",
+    "scatter_select",
 ]
 
-#: Aggregate functions whose finalized values merge across shards.
-_MERGEABLE = {"count", "sum", "min", "max"}
+#: Output name of the hidden leg item carrying ORDER BY term ``i``.
+_HIDDEN = "__order%d"
 
 
-def scatter_unsupported_reason(stmt: ast.Select) -> Optional[str]:
-    """Why this SELECT's *finalized* per-shard values cannot merge.
+def _order_terms(stmt: ast.Select) -> List[Tuple[ast.Expr, bool, bool]]:
+    """Per ORDER BY term of a plain scatter: ``(expr, desc, hidden)``.
 
-    A non-None reason no longer fails the query: the scatter falls back
-    to the two-phase partial-state plan (:func:`scatter_needs_partials`
-    / :func:`merge_partial_results`).
+    A bare unqualified column naming an output column sorts on that
+    column; any other term becomes hidden item ``__order<i>``, with
+    references to output aliases replaced by the aliased expressions —
+    a leg's projection evaluates items against source rows, while the
+    single engine's sort sees the projected row.
     """
-    for item in stmt.items:
-        expr = item.expr
-        if isinstance(expr, ast.AggCall):
-            if expr.distinct:
-                return "DISTINCT aggregates are not mergeable across shards"
-            if expr.func not in _MERGEABLE:
-                return "%s() is not mergeable across shards" % expr.func
-        elif expr.contains_aggregate():
-            return "composite aggregate expressions do not merge across shards"
-        elif stmt.has_aggregates and not stmt.group_by:
-            return "mixing aggregates and columns does not merge across shards"
-    return None
+    aliases: Dict[str, ast.Expr] = {
+        item.output_name: item.expr for item in stmt.items
+    }
+
+    def resolve(expr: ast.Expr) -> ast.Expr:
+        if isinstance(expr, ast.ColumnRef):
+            if expr.table is None and expr.name in aliases:
+                return aliases[expr.name]
+            return expr
+        changes = {
+            attr: resolve(getattr(expr, attr))
+            for attr in ("left", "right", "operand", "low", "high")
+            if isinstance(getattr(expr, attr, None), ast.Expr)
+        }
+        return replace(expr, **changes) if changes else expr
+
+    terms = []
+    for expr, desc in stmt.order_by:
+        output = (
+            isinstance(expr, ast.ColumnRef)
+            and expr.table is None
+            and expr.name in aliases
+        )
+        terms.append((expr if output else resolve(expr), desc, not output))
+    return terms
 
 
-def scatter_needs_partials(stmt: ast.Select) -> bool:
-    """True when the scatter must ship partial aggregate states."""
-    return stmt.has_aggregates and scatter_unsupported_reason(stmt) is not None
+def scatter_select(stmt: ast.Select) -> ast.Select:
+    """The statement each leg of a plain (non-aggregate) scatter runs.
+
+    ORDER BY terms that are not output columns are appended as hidden
+    trailing items so the router can sort on them.
+    """
+    if stmt.star or not stmt.order_by:
+        return stmt
+    hidden = [
+        ast.SelectItem(expr, _HIDDEN % index)
+        for index, (expr, _desc, is_hidden) in enumerate(_order_terms(stmt))
+        if is_hidden
+    ]
+    if not hidden:
+        return stmt
+    return replace(stmt, items=list(stmt.items) + hidden)
+
+
+def merge_select_results(stmt: ast.Select,
+                         results: Sequence[QueryResult]) -> QueryResult:
+    """Combine per-shard results of one plain SELECT (legs ran
+    :func:`scatter_select`) into the global answer."""
+    if not results:
+        return QueryResult([], [])
+    leg_columns = next(
+        (result.columns for result in results if result.rows),
+        results[0].columns,
+    )
+    rows = [
+        dict(zip(leg_columns, row)) for result in results for row in result.rows
+    ]
+    if stmt.star:
+        return shape_result(leg_columns, rows, stmt.order_by, stmt.limit)
+    order_by = [
+        (ast.ColumnRef(_HIDDEN % index) if is_hidden else expr, desc)
+        for index, (expr, desc, is_hidden) in enumerate(_order_terms(stmt))
+    ]
+    columns = [item.output_name for item in stmt.items]
+    return shape_result(columns, rows, order_by, stmt.limit)
 
 
 def merge_partial_results(stmt: ast.Select, results) -> QueryResult:
     """Combine per-shard ``execute_partial_select`` outputs globally.
 
-    Each result is ``(aggregates, [(key, sample_row, states), ...])``.
-    States sharing a group key are merged with the executor's own
-    :func:`merge_agg_states` (AVG folds sum+count, DISTINCT unions its
-    value set), finalized once, and shaped through the statement's items
-    — so a scattered AVG/DISTINCT answer is exactly what a single
-    engine holding all the rows would produce.
+    Each result is ``(aggregates, [((key, sample_row), states), ...])``.
+    States sharing a group key merge, finalize once, and shape through
+    the executor's projection and ORDER BY/LIMIT — so a scattered
+    aggregate is exactly what a single engine holding all the rows would
+    produce.
     """
     columns = [item.output_name for item in stmt.items]
     if not results:
         return QueryResult(columns, [])
-    aggs = None
-    groups: Dict[Tuple[Any, ...], list] = {}
-    samples: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
-    order: List[Tuple[Any, ...]] = []
-    for agg_list, triples in results:
-        if aggs is None:
-            aggs = agg_list
-        for key, sample, states in triples:
-            if key not in groups:
-                groups[key] = states
-                samples[key] = sample
-                order.append(key)
-            else:
-                merge_agg_states(groups[key], states, aggs)
-    if not groups and not stmt.group_by:
-        # Global aggregate over zero rows still yields one identity row.
-        groups[()] = new_agg_states(aggs)
-        samples[()] = {}
-        order.append(())
-    entries = []
-    for key in order:
-        agg_values = finalize_agg_states(groups[key], aggs)
-        row = samples[key]
-        shaped = tuple(
-            eval_with_aggs(item.expr, row, agg_values) for item in stmt.items
-        )
-        entries.append((shaped, row, agg_values))
-    if stmt.order_by:
-        def sort_key(entry):
-            _shaped, row, agg_values = entry
-            return tuple(
-                _Reversible(eval_with_aggs(expr, row, agg_values), desc)
-                for expr, desc in stmt.order_by
-            )
-
-        entries.sort(key=sort_key)
-    rows = [shaped for shaped, _row, _aggs in entries]
-    if stmt.limit is not None:
-        rows = rows[: stmt.limit]
-    return QueryResult(columns, rows)
-
-
-def _merge_cell(func: str, mine: Any, theirs: Any) -> Any:
-    if theirs is None:
-        return mine
-    if mine is None:
-        return theirs
-    if func in ("count", "sum"):
-        return mine + theirs
-    if func == "min":
-        return min(mine, theirs)
-    return max(mine, theirs)
-
-
-def _agg_positions(stmt: ast.Select) -> Dict[int, str]:
-    return {
-        index: item.expr.func
-        for index, item in enumerate(stmt.items)
-        if isinstance(item.expr, ast.AggCall)
-    }
-
-
-def _resort(stmt: ast.Select, columns: List[str],
-            rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
-    if stmt.order_by:
-        try:
-            for expr, desc in reversed(stmt.order_by):
-                rows.sort(
-                    key=lambda row: expr.eval(dict(zip(columns, row))),
-                    reverse=desc,
-                )
-        except (QueryError, TypeError):
-            pass  # unorderable across shards: keep shard-order concat
-    if stmt.limit is not None:
-        rows = rows[: stmt.limit]
-    return rows
-
-
-def merge_select_results(stmt: ast.Select,
-                         results: Sequence[QueryResult]) -> QueryResult:
-    """Combine per-shard results of one SELECT into the global answer."""
-    if not results:
-        return QueryResult([], [])
-    columns = results[0].columns
-    if not stmt.has_aggregates:
-        rows: List[Tuple[Any, ...]] = []
-        for result in results:
-            rows.extend(result.rows)
-        return QueryResult(columns, _resort(stmt, columns, rows))
-    reason = scatter_unsupported_reason(stmt)
-    if reason:
-        raise QueryError("cannot scatter-gather: %s" % reason)
-    aggs = _agg_positions(stmt)
-    if not stmt.group_by:
-        # One row per shard; fold into one global row.  A shard with no
-        # matches still yields its identity row (COUNT 0 / SUM NULL).
-        merged: Optional[List[Any]] = None
-        for result in results:
-            for row in result.rows:
-                if merged is None:
-                    merged = list(row)
-                    continue
-                for index, func in aggs.items():
-                    merged[index] = _merge_cell(
-                        func, merged[index], row[index]
-                    )
-        return QueryResult(columns, [tuple(merged)] if merged else [])
-    # Grouped: merge rows by their non-aggregate output columns.
-    key_positions = [i for i in range(len(stmt.items)) if i not in aggs]
-    groups: Dict[Tuple[Any, ...], List[Any]] = {}
-    order: List[Tuple[Any, ...]] = []
-    for result in results:
-        for row in result.rows:
-            key = tuple(row[i] for i in key_positions)
-            merged_row = groups.get(key)
-            if merged_row is None:
-                groups[key] = list(row)
-                order.append(key)
-                continue
-            for index, func in aggs.items():
-                merged_row[index] = _merge_cell(
-                    func, merged_row[index], row[index]
-                )
-    rows = [tuple(groups[key]) for key in order]
-    return QueryResult(columns, _resort(stmt, columns, rows))
+    groups: Groups = {}
+    for _aggs, pairs in results:
+        merge_partials(pairs, groups)
+    rows = [
+        project_row(stmt.items, columns, row)
+        for row in finalize_groups(groups, results[0][0], bool(stmt.group_by))
+    ]
+    return shape_result(columns, rows, stmt.order_by, stmt.limit)

@@ -34,10 +34,9 @@ __all__ = ["ViewDefinition"]
 class ViewDefinition:
     """One validated view: parsed SELECT plus its maintenance plan.
 
-    ``item_plan`` maps every select item to how the maintainer serves
-    it: ``("group", i)`` -> i-th group-key component, ``("agg", i)`` ->
-    i-th aggregate state, ``("col", i)`` -> i-th position of the stored
-    projection tuple.
+    Aggregate views keep one state per entry of ``aggregates``, grouped
+    by ``group_by``; every select item is a group column or one of those
+    aggregates.  Projection views store each row's item values.
     """
 
     __slots__ = (
@@ -49,7 +48,6 @@ class ViewDefinition:
         "group_by",
         "items",
         "aggregates",
-        "item_plan",
         "is_aggregate",
     )
 
@@ -88,7 +86,6 @@ class ViewDefinition:
                 )
 
         aggregates = []
-        item_plan = []
         is_aggregate = bool(group_by) or statement.has_aggregates
         for item in statement.items:
             expr = item.expr
@@ -98,7 +95,6 @@ class ViewDefinition:
                         "view %s: DISTINCT aggregates are out of scope "
                         "(non-linear under deletion)" % name
                     )
-                item_plan.append(("agg", len(aggregates)))
                 aggregates.append(expr)
                 continue
             if expr.contains_aggregate():
@@ -106,18 +102,11 @@ class ViewDefinition:
                     "view %s: composite aggregate expressions are not "
                     "maintainable; select the bare aggregate" % name
                 )
-            if is_aggregate:
-                for position, group_expr in enumerate(group_by):
-                    if group_expr == expr:
-                        item_plan.append(("group", position))
-                        break
-                else:
-                    raise QueryError(
-                        "view %s: item %r is neither a GROUP BY column nor "
-                        "an aggregate" % (name, item.output_name)
-                    )
-            else:
-                item_plan.append(("col", len(item_plan)))
+            if is_aggregate and expr not in group_by:
+                raise QueryError(
+                    "view %s: item %r is neither a GROUP BY column nor "
+                    "an aggregate" % (name, item.output_name)
+                )
 
         self.name = name
         self.sql = sql
@@ -127,7 +116,6 @@ class ViewDefinition:
         self.group_by = group_by
         self.items = tuple(statement.items)
         self.aggregates = tuple(aggregates)
-        self.item_plan = tuple(item_plan)
         self.is_aggregate = is_aggregate
 
     def __repr__(self) -> str:

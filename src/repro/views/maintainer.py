@@ -37,18 +37,17 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..common import MS, US, PageId, QueryError, StorageError
-from ..query.ast import AggCall, ColumnRef, Select
+from ..query.aggstate import finalize_groups, new_states, update_states
+from ..query.ast import ColumnRef, Select
 from ..query.executor import (
     PAGE_CPU,
     ROW_CPU,
-    QueryResult,
-    _Reversible,
-    eval_with_aggs,
+    project_row,
+    shape_result,
 )
 from ..query.planner import match_view_select
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
-from .aggstate import finalize_states, new_states, update_states
 from .definition import ViewDefinition
 from .zset import ZSet
 
@@ -483,10 +482,10 @@ class ViewMaintainer:
         """Generator: answer ``statement`` from view state, O(result).
 
         Returns None if a crash lands mid-serve (caller reroutes).
-        Output parity with the executor: identical finalized aggregate
-        values (see :mod:`repro.views.aggstate`), the same identity row
-        for empty ungrouped aggregates, and the executor's own
-        ``_Reversible`` ORDER BY comparator.
+        Output parity with the executor: the same aggregate states and
+        finalize step (:mod:`repro.query.aggstate`, including the
+        identity row for empty ungrouped aggregates), and the
+        executor's own projection, ORDER BY and LIMIT shaping.
         """
         definition = view.definition
         epoch = self.epoch
@@ -498,59 +497,31 @@ class ViewMaintainer:
         yield from self.cpu.consume(SERVE_CPU + ROW_CPU * units)
         if not self.alive or self.epoch != epoch:
             return None
-        entries: List[Tuple[tuple, Dict[str, Any], Dict[AggCall, Any]]] = []
+        columns = [item.output_name for item in statement.items]
         if definition.is_aggregate:
-            group_rows = [
-                (key, finalize_states(entry[1], definition.aggregates))
+            names = [group_expr.key for group_expr in definition.group_by]
+            groups = {
+                key: (dict(zip(names, key)), entry[1])
                 for key, entry in view.groups.items()
+            }
+            rows = [
+                project_row(statement.items, columns, row)
+                for row in finalize_groups(
+                    groups, definition.aggregates, bool(definition.group_by)
+                )
             ]
-            if not group_rows and not definition.group_by:
-                # Ungrouped aggregate over zero rows: one identity row.
-                group_rows = [(
-                    (),
-                    finalize_states(
-                        new_states(definition.aggregates),
-                        definition.aggregates,
-                    ),
-                )]
-            for key, agg_values in group_rows:
-                row = {
-                    group_expr.key: key[position]
-                    for position, group_expr in enumerate(definition.group_by)
-                }
-                shaped = []
-                for view_index in item_map:
-                    kind, index = definition.item_plan[view_index]
-                    if kind == "group":
-                        shaped.append(key[index])
-                    else:
-                        shaped.append(agg_values[definition.aggregates[index]])
-                entries.append((tuple(shaped), row, agg_values))
         else:
+            rows = []
             for stored, weight in view.zset.items():
-                row = {
+                out = {
                     item.expr.key: stored[index]
                     for index, item in enumerate(definition.items)
                     if isinstance(item.expr, ColumnRef)
                 }
-                shaped = tuple(stored[index] for index in item_map)
-                for _ in range(weight):
-                    entries.append((shaped, row, {}))
-        if statement.order_by:
-            def sort_key(entry):
-                _shaped, row, agg_values = entry
-                return tuple(
-                    _Reversible(eval_with_aggs(expr, row, agg_values), desc)
-                    for expr, desc in statement.order_by
-                )
-
-            entries.sort(key=sort_key)
-        rows = [shaped for shaped, _row, _aggs in entries]
-        if statement.limit is not None:
-            rows = rows[: statement.limit]
+                out.update(zip(columns, (stored[i] for i in item_map)))
+                rows.extend([out] * weight)
         view.serves += 1
-        columns = [item.output_name for item in statement.items]
-        return QueryResult(columns, rows)
+        return shape_result(columns, rows, statement.order_by, statement.limit)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -6,7 +6,7 @@ from repro.common import KB, PageId
 from repro.engine.codec import DECIMAL, INT, VARCHAR, Column, Schema
 from repro.engine.page import Page, PageOp, apply_op
 from repro.query.ast import AggCall, BinOp, ColumnRef, Literal
-from repro.query.executor import finalize_agg_states, merge_agg_states
+from repro.query.aggstate import finalize_states, merge_states
 from repro.query.pushdown import PushdownFragment, execute_fragment_on_pages
 
 
@@ -74,7 +74,7 @@ def test_partial_aggregation_groups():
     assert len(partials) == 3  # grp in {0,1,2}
     totals = {}
     for (key, _sample), states in partials:
-        values = finalize_agg_states(states, aggs)
+        values = finalize_states(states, aggs)
         totals[key[0]] = (values[aggs[0]], values[aggs[1]])
     for grp in range(3):
         expected = [r for r in ROWS if r[1] == grp]
@@ -102,8 +102,8 @@ def test_partials_merge_across_tasks():
     )
     (key_a, _), states_a = part_a[0]
     (_key_b, _), states_b = part_b[0]
-    merge_agg_states(states_a, states_b, aggs)
-    values = finalize_agg_states(states_a, aggs)
+    merge_states(states_a, states_b)
+    values = finalize_states(states_a, aggs)
     amounts = [r[2] for r in ROWS]
     assert values[aggs[0]] == 20
     assert values[aggs[1]] == pytest.approx(sum(amounts))

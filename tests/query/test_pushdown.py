@@ -157,3 +157,51 @@ def test_pushdown_threshold_respected():
     pq = dep.new_session(enable_pushdown=True, pushdown_row_threshold=100000)
     execute(dep, pq, AGG_SQL)
     assert pq.pushdown_runtime.tasks_dispatched == 0
+
+
+DISTINCT_SQL = (
+    "SELECT dim, count(DISTINCT label), sum(DISTINCT amount), "
+    "avg(DISTINCT amount), min(DISTINCT amount), max(DISTINCT amount) "
+    "FROM facts GROUP BY dim ORDER BY dim"
+)
+
+
+def test_distinct_aggregates_agree_in_every_execution_mode():
+    """SUM/AVG/MIN/MAX(DISTINCT x) apply their function to the distinct
+    values (not their count) in row mode, batch mode and push-down."""
+    dep = make_db(rows=120)
+    amounts = {}
+    labels = {}
+    for i in range(120):
+        amounts.setdefault(i % 7, set()).add(float(i % 100))
+        labels.setdefault(i % 7, set()).add("L%d" % (i % 3))
+    expected = [
+        (
+            dim, len(labels[dim]), float(sum(amounts[dim])),
+            sum(amounts[dim]) / len(amounts[dim]),
+            min(amounts[dim]), max(amounts[dim]),
+        )
+        for dim in sorted(amounts)
+    ]
+    sessions = {
+        "row": dep.new_session(enable_pushdown=False, batch_mode=False),
+        "batch": dep.new_session(enable_pushdown=False),
+        "pushdown": dep.new_session(
+            enable_pushdown=True, pushdown_row_threshold=10
+        ),
+        "pushdown-row": dep.new_session(
+            enable_pushdown=True, pushdown_row_threshold=10, batch_mode=False
+        ),
+    }
+    for mode, session in sessions.items():
+        assert execute(dep, session, DISTINCT_SQL).rows == expected, mode
+    assert sessions["pushdown"].pushdown_runtime.tasks_dispatched > 0
+    assert sessions["pushdown-row"].pushdown_runtime.tasks_dispatched > 0
+    # Over no rows: COUNT(DISTINCT) is 0, every other function NULL.
+    empty = DISTINCT_SQL.replace("GROUP BY dim", "WHERE f_id < 0").replace(
+        "SELECT dim, ", "SELECT "
+    ).replace(" ORDER BY dim", "")
+    for mode, session in sessions.items():
+        assert execute(dep, session, empty).rows == [
+            (0, None, None, None, None)
+        ], mode

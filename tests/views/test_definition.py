@@ -19,14 +19,12 @@ def test_aggregate_view_plan():
     assert view.is_aggregate
     assert len(view.group_by) == 1
     assert len(view.aggregates) == 2
-    assert view.item_plan == (("group", 0), ("agg", 0), ("agg", 1))
 
 
 def test_projection_view_plan():
     view = ViewDefinition("p", "SELECT k, val FROM facts WHERE grp = 3")
     assert not view.is_aggregate
     assert view.aggregates == ()
-    assert view.item_plan == (("col", 0), ("col", 1))
 
 
 @pytest.mark.parametrize(

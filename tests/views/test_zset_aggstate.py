@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.query.cache import parse_entry
-from repro.query.executor import (
-    finalize_agg_states,
-    new_agg_states,
-    update_agg_states,
-)
-from repro.views.aggstate import (
+from repro.query.aggstate import (
     finalize_states,
     merge_states,
     new_states,
     update_states,
 )
+from repro.query.cache import parse_entry
 from repro.views.zset import ZSet
 
 
@@ -75,33 +70,35 @@ def _rows_to_states(aggs, rows):
     return states
 
 
-def _executor_values(aggs, rows):
-    states = new_agg_states(aggs)
-    for row in rows:
-        update_agg_states(states, aggs, row)
-    return finalize_agg_states(states, aggs)
+def _finalized(aggs, states):
+    """Finalized values in item order, each paired with its type."""
+    values = finalize_states(states, aggs)
+    return [(values[agg], type(values[agg])) for agg in aggs]
 
 
 ROWS = [
     {"t.v": 3}, {"t.v": 1}, {"t.v": None}, {"t.v": 3}, {"t.v": 7},
 ]
 
+#: AGG_SQL over ROWS: COUNT is an int, SUM/AVG are floats (SUM starts at
+#: 0.0), MIN/MAX keep the column's type, NULLs are skipped.
+ROWS_VALUES = [
+    (5, int), (4, int), (14.0, float), (3.5, float), (1, int), (7, int),
+    (3, int),
+]
 
-def test_finalize_matches_executor_accumulators():
+
+def test_finalize_values_and_types():
     aggs = _aggs(AGG_SQL)
-    ours = finalize_states(_rows_to_states(aggs, ROWS), aggs)
-    theirs = _executor_values(aggs, ROWS)
-    assert ours == theirs
-    # Same types too (SUM/AVG finalize as float, COUNT as int).
-    for agg in aggs:
-        assert type(ours[agg]) is type(theirs[agg])
+    assert _finalized(aggs, _rows_to_states(aggs, ROWS)) == ROWS_VALUES
 
 
-def test_finalize_matches_executor_on_empty_input():
+def test_finalize_on_empty_input():
     aggs = _aggs(AGG_SQL)
-    ours = finalize_states(_rows_to_states(aggs, []), aggs)
-    theirs = _executor_values(aggs, [])
-    assert ours == theirs
+    assert _finalized(aggs, _rows_to_states(aggs, [])) == [
+        (0, int), (0, int), (None, type(None)), (None, type(None)),
+        (None, type(None)), (None, type(None)), (0, int),
+    ]
 
 
 def test_negative_weights_retract_rows_exactly():
@@ -111,7 +108,12 @@ def test_negative_weights_retract_rows_exactly():
     update_states(states, aggs, {"t.v": 3}, -1)
     update_states(states, aggs, {"t.v": None}, -1)
     remainder = [{"t.v": 1}, {"t.v": 3}, {"t.v": 7}]
-    assert finalize_states(states, aggs) == _executor_values(aggs, remainder)
+    assert _finalized(aggs, states) == _finalized(
+        aggs, _rows_to_states(aggs, remainder)
+    ) == [
+        (3, int), (3, int), (11.0, float), (11.0 / 3, float), (1, int),
+        (7, int), (3, int),
+    ]
 
 
 def test_min_max_survive_retraction_of_current_extremum():
@@ -140,4 +142,25 @@ def test_merge_states_equals_single_fold():
     left = _rows_to_states(aggs, ROWS[:2])
     right = _rows_to_states(aggs, ROWS[2:])
     merge_states(left, right)
-    assert finalize_states(left, aggs) == _executor_values(aggs, ROWS)
+    assert _finalized(aggs, left) == ROWS_VALUES
+
+
+def test_distinct_aggregates_apply_their_function():
+    aggs = _aggs(
+        "SELECT COUNT(DISTINCT v), SUM(DISTINCT v), AVG(DISTINCT v), "
+        "MIN(DISTINCT v), MAX(DISTINCT v) FROM t"
+    )
+    rows = [{"t.v": v} for v in (3, 0, 4, 1, None, 3, 2, 0)]
+    assert _finalized(aggs, _rows_to_states(aggs, rows)) == [
+        (5, int), (10.0, float), (2.0, float), (0, int), (4, int),
+    ]
+    # Merged halves fold the same distinct set; empty input is NULL
+    # except for COUNT.
+    left = _rows_to_states(aggs, rows[:4])
+    merge_states(left, _rows_to_states(aggs, rows[4:]))
+    assert _finalized(aggs, left) == _finalized(
+        aggs, _rows_to_states(aggs, rows)
+    )
+    assert [value for value, _type in _finalized(
+        aggs, _rows_to_states(aggs, [])
+    )] == [0, None, None, None, None]
