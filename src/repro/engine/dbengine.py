@@ -36,11 +36,12 @@ from ..storage.pagestore import PageStoreService
 from .bufferpool import BufferPool
 from .ebp import ExtendedBufferPool
 from .page import Page, PageOp, apply_op
+from .redo import RedoFeed, feed_stats
 from .table import Catalog, Table
 from .txn import LockManager, Transaction, UndoEntry
 from .wal import LogBuffer, LsnAllocator, RedoRecord
 
-__all__ = ["DBEngine", "EngineConfig", "LogBackend", "RedoFeed"]
+__all__ = ["DBEngine", "EngineConfig", "LogBackend"]
 
 
 @dataclass
@@ -88,49 +89,6 @@ class LogBackend:
 
     def recover(self):
         raise NotImplementedError
-
-
-class RedoFeed:
-    """One subscriber's incremental REDO queue (host-side, bounded).
-
-    Group commit publishes each durable batch once into every live
-    feed's queue (:meth:`DBEngine.subscribe_redo`); a standby drains its
-    queue instead of rescanning the whole retained log every poll.
-    ``stale`` means the queue no longer covers the subscriber's gap —
-    set initially, after an overflow, and by the subscriber on crash —
-    and tells the consumer to do one full rescan before going
-    incremental again.  Publishing skips stale feeds entirely (the
-    rescan re-reads everything durable anyway), so a dead subscriber
-    costs nothing and a bounded queue never grows past ``bound``.
-
-    All of this is plain Python bookkeeping: no events, no virtual time.
-    """
-
-    __slots__ = ("store", "bound", "stale", "published", "overflows")
-
-    def __init__(self, env: Environment, bound: int = 65536):
-        self.store = Store(env)
-        self.bound = bound
-        #: True until the subscriber's first full rescan (and again
-        #: after crash/overflow): the queue must not be trusted.
-        self.stale = True
-        self.published = 0
-        self.overflows = 0
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def clear(self) -> None:
-        self.store._items.clear()
-
-    def drain(self) -> List[RedoRecord]:
-        """Take every queued record (host-side; no event round-trip)."""
-        items = self.store._items
-        if not items:
-            return []
-        batch = list(items)
-        items.clear()
-        return batch
 
 
 class DBEngine:
@@ -222,32 +180,20 @@ class DBEngine:
             self.env.process(self._ebp_lsn_flush_loop(), name="ebp-lsn-flush")
 
     def subscribe_redo(self, bound: int = 65536) -> RedoFeed:
-        """Register a per-subscriber incremental REDO feed.
+        """Register a subscriber's incremental REDO feed.
 
-        The feed starts ``stale`` (the subscriber owes itself one full
-        rescan to cover everything durable before subscription); after
-        that, group commit pushes each durable batch into the feed's
-        queue and the subscriber only ever sees new records.
+        The feed starts ``stale``; :class:`repro.engine.redo.RedoConsumer`
+        decides whether it can start live or owes itself a rebuild.
+        After that, group commit pushes each durable batch into the
+        feed's queue.
         """
-        feed = RedoFeed(self.env, bound=bound)
+        feed = RedoFeed(bound=bound)
         self._redo_feeds.append(feed)
         return feed
 
     def redo_feed_stats(self) -> Dict[str, int]:
-        """Aggregate per-subscriber feed pressure (deployment gauges).
-
-        ``depth`` is the total queued-record backlog across subscribers;
-        ``overflows`` counts queue drops, each of which silently cost the
-        subscriber one full rescan.
-        """
-        feeds = self._redo_feeds
-        return {
-            "subscribers": len(feeds),
-            "depth": sum(len(feed) for feed in feeds),
-            "published": sum(feed.published for feed in feeds),
-            "overflows": sum(feed.overflows for feed in feeds),
-            "stale": sum(1 for feed in feeds if feed.stale),
-        }
+        """Aggregate per-subscriber feed pressure (deployment gauges)."""
+        return feed_stats(self._redo_feeds)
 
     def _flush_log(self, records: List[RedoRecord], nbytes: int):
         start = self.env.now
@@ -291,32 +237,25 @@ class DBEngine:
         # WAL rule satisfied: durable records may now ship to PageStore.
         # Commit/abort markers are log-only; PageStore applies page ops.
         self._ship_queue.extend(r for r in records if not r.is_marker)
-        # Publish the durable batch (markers included, matching the
-        # rescan view) to each live REDO feed.  Batches arrive in LSN
-        # order because submit() allocates LSNs in append order and the
-        # writer flushes FIFO.
-        if self._redo_feeds:
-            for feed in self._redo_feeds:
-                if feed.stale:
-                    continue
-                if len(feed.store) + len(records) > feed.bound:
-                    # Subscriber fell too far behind: drop the queue and
-                    # force a rescan rather than buffering unboundedly.
-                    feed.stale = True
-                    feed.clear()
-                    feed.overflows += 1
-                    continue
-                feed.store.put_many(records)
-                feed.published += len(records)
+        # Publish the durable batch (markers included) to each REDO
+        # feed.  Batches arrive in LSN order because submit() allocates
+        # LSNs in append order and the writer flushes FIFO.
+        for feed in self._redo_feeds:
+            feed.publish(records)
 
     def _ship_loop(self):
         while True:
             yield self.env.timeout(self.config.ship_interval)
-            if self.crashed or not self._ship_queue:
-                continue
-            batch, self._ship_queue = self._ship_queue, []
-            yield from self.pagestore.ship_records(batch)
-            self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
+            if not self.crashed:
+                yield from self._ship_now()
+
+    def _ship_now(self):
+        """Generator: ship every queued durable record to PageStore now."""
+        if not self._ship_queue:
+            return
+        batch, self._ship_queue = self._ship_queue, []
+        yield from self.pagestore.ship_records(batch)
+        self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
 
     def _on_evict(self, page: Page) -> None:
         if self.ebp is None or self.crashed:
@@ -413,10 +352,7 @@ class DBEngine:
                 attempts += 1
                 if attempts > 4:
                     raise
-                if self._ship_queue:
-                    batch, self._ship_queue = self._ship_queue, []
-                    yield from self.pagestore.ship_records(batch)
-                    self.shipped_lsn = max(self.shipped_lsn, batch[-1].lsn)
+                yield from self._ship_now()
                 yield self.env.timeout(0.5 * MS)
 
     def _new_page(self, table: Table) -> Tuple[Page, RedoRecord]:

@@ -4,9 +4,10 @@ The paper's second future-work item (Section VIII): "expand the usage of
 EBP ... it could be used by stand-by instances that serve read-only
 queries."  This module implements that standby:
 
-- it *subscribes to the primary's REDO stream* (the same records shipped
-  to PageStore) and applies them to its own page images, maintaining its
-  own B+-tree indexes incrementally - inserts/updates/deletes carry enough
+- it is a :class:`repro.engine.redo.RedoConsumer`: it *subscribes to the
+  primary's REDO stream* (the same records shipped to PageStore) and
+  applies them to its own page images, maintaining its own B+-tree
+  indexes incrementally - inserts/updates/deletes carry enough
   information (op row + logged before image) to keep secondary indexes
   correct without re-scanning;
 - reads go through its own small DRAM buffer pool, then the *shared* EBP
@@ -15,9 +16,12 @@ queries."  This module implements that standby:
   degrades the standby the same way it degrades the primary);
 - replication lag is explicit: the standby exposes ``applied_lsn`` and
   reads are snapshot-consistent to that LSN;
-- it can *crash* (lose all volatile state) and *recover* by scanning
-  PageStore at the primary's durable tail, then rejoin the REDO feed -
-  the serving layer's replica fleet drives this cycle under chaos.
+- it can *crash* (lose all volatile state) and *recover* through the
+  consumer's page rebuild, then rejoin the REDO feed - the serving
+  layer's replica fleet drives this cycle under chaos.  The same rebuild
+  catches up a standby attached after REDO became durable, or one whose
+  feed overflowed; it builds a separate image and installs it in one
+  step, so reads never see a half-built standby.
 
 The standby deliberately reuses the primary's catalog *schemas* but keeps
 fully independent indexes and page bookkeeping, so a primary crash never
@@ -27,22 +31,23 @@ the workload's tables exist picks them up on first touch.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..common import MS, US, PageId, QueryError, StorageError
+from ..common import US, PageId, QueryError
 from ..sim.core import Environment
 from ..sim.resources import CpuPool
 from ..storage.pagestore import PageStoreService
 from .bufferpool import BufferPool
 from .ebp import ExtendedBufferPool
 from .page import Page, apply_op
+from .redo import RedoConsumer
 from .table import Catalog, Table
 from .wal import RedoRecord
 
 __all__ = ["StandbyReplica"]
 
 
-class StandbyReplica:
+class StandbyReplica(RedoConsumer):
     """A read-only compute node trailing the primary's REDO stream."""
 
     def __init__(
@@ -52,34 +57,18 @@ class StandbyReplica:
         buffer_pool_bytes: int = 16 * 1024 * 1024,
         cores: int = 8,
         use_ebp: bool = True,
-        use_feed: bool = True,
     ):
-        self.env = env
-        self.primary = primary
+        super().__init__(env, primary, CpuPool(env, cores=cores))
         self.pagestore: PageStoreService = primary.pagestore
         self.ebp: Optional[ExtendedBufferPool] = (
             primary.ebp if use_ebp else None
         )
-        self.cpu = CpuPool(env, cores=cores)
         self.catalog = Catalog()
         # Standby-local page images, applied from the REDO stream.
         self.pages: Dict[PageId, Page] = {}
-        self.applied_lsn = 0
         self.records_applied = 0
         self.buffer_pool = BufferPool(buffer_pool_bytes,
                                       page_size=primary.config.page_size)
-        self._subscribed = False
-        #: Incremental REDO feed (None => full rescan every poll).
-        self.use_feed = use_feed
-        self._feed = None
-        self.feed_rescans = 0
-        #: False after :meth:`crash` until :meth:`recover` completes.
-        self.alive = True
-        #: Bumped by every crash; readers snapshot it to detect that a
-        #: result straddled a crash and must be discarded/rerouted.
-        self.epoch = 0
-        self.crashes = 0
-        self.recoveries = 0
         self.sync_catalog()
 
     def sync_catalog(self) -> None:
@@ -90,12 +79,14 @@ class StandbyReplica:
         aligned, which the REDO feed relies on (records address pages by
         ``space_no``).
         """
-        if len(self.catalog) == len(self.primary.catalog):
-            return
+        if len(self.catalog) != len(self.primary.catalog):
+            self._mirror(self.catalog)
+
+    def _mirror(self, catalog: Catalog) -> None:
         for table in self.primary.catalog.tables():
-            if table.name in self.catalog:
+            if table.name in catalog:
                 continue
-            mirrored = self.catalog.create_table(
+            mirrored = catalog.create_table(
                 table.name, table.schema, table.key_columns, table.priority
             )
             if mirrored.space_no != table.space_no:
@@ -108,113 +99,42 @@ class StandbyReplica:
                 mirrored.add_secondary_index(name, list(index.columns))
 
     # ------------------------------------------------------------------
-    # REDO subscription
+    # RedoConsumer plug-in
     # ------------------------------------------------------------------
-    def start(self, poll_interval: float = 2 * MS) -> None:
-        """Subscribe to the primary's durable REDO stream."""
-        if self._subscribed:
-            return
-        self._subscribed = True
-        self._cursor = 0
-        if self.use_feed:
-            subscribe = getattr(self.primary, "subscribe_redo", None)
-            if subscribe is not None:
-                self._feed = subscribe()
-        self.env.process(self._apply_loop(poll_interval), name="standby-apply")
+    def apply(self, batch) -> None:
+        for record in batch:
+            self._apply_record(record)
 
-    def _apply_loop(self, poll_interval: float):
-        """Poll the durable REDO stream and apply new records.
+    def rebuild_tables(self):
+        return list(self.primary.catalog.tables())
 
-        Production systems stream the log; polling the durable tail gives
-        identical ordering semantics in the simulation (records are only
-        visible once flushed, i.e. once in ``primary._ship_queue`` history).
-        The per-poll batch comes from the incremental feed when one is
-        subscribed (O(new records) per poll) and otherwise from a full
-        retained-log rescan; both are host-side Python charged the same
-        per-record CPU, so they are virtual-time identical.
-        """
-        while True:
-            yield self.env.timeout(poll_interval)
-            if not self.alive:
-                continue
-            batch = self._next_batch()
-            if not batch:
-                continue
-            epoch = self.epoch
-            yield from self.cpu.consume(3 * US * len(batch))
-            if not self.alive or self.epoch != epoch:
-                # A crash landed while we were charging CPU for the batch:
-                # the volatile state it targeted is gone, so drop it -
-                # recovery re-reads everything from PageStore anyway.
-                continue
-            for record in batch:
-                self._apply_record(record)
+    def new_image(self):
+        """(mirrored catalog, page images), both empty."""
+        catalog = Catalog()
+        self._mirror(catalog)
+        return catalog, {}
 
-    def _next_batch(self) -> List[RedoRecord]:
-        """This poll's records: feed drain, or rescan when uncovered.
+    def absorb(self, image, table, page) -> None:
+        catalog, pages = image
+        mirrored = catalog.table(table.name)
+        page_no = page.page_id.page_no
+        pages[page.page_id] = page
+        mirrored.note_page(page_no, page.free_bytes)
+        for slot, raw in page.slots():
+            values = mirrored.schema.decode(raw)
+            if mirrored.lookup(mirrored.key_of(values)) is None:
+                mirrored.index_insert(values, (page_no, slot))
 
-        The feed queue and the rescan agree by construction: records are
-        published exactly when they become durable (visible to the
-        rescan), in LSN order, so after one catch-up rescan the queue
-        always holds precisely the records durable since the last poll.
-        A stale feed (fresh subscription, crash, or overflow) is cleared
-        and replaced by one rescan *in the same host-side step*, so no
-        publish can slip between the clear and the scan.
-        """
-        feed = self._feed
-        if feed is None:
-            return self.primary_records_after(self.applied_lsn)
-        if feed.stale:
-            feed.clear()
-            feed.stale = False
-            self.feed_rescans += 1
-            return self.primary_records_after(self.applied_lsn)
-        applied = self.applied_lsn
-        batch = feed.drain()
-        if not batch or batch[0].lsn > applied:
-            return batch
-        # Safety net (e.g. a rescan raced a publish): drop duplicates.
-        return [r for r in batch if r.lsn > applied]
-
-    def primary_records_after(self, lsn: int) -> List[RedoRecord]:
-        """Durable records with LSN > ``lsn`` (the standby's feed)."""
-        backend = self.primary.log_backend
-        retained = getattr(backend, "_retained", None)
-        if retained is None:
-            # AStore backend: collect from the ring's live segments
-            # synchronously (metadata view; timing charged by caller).
-            records: List[RedoRecord] = []
-            ring = backend.ring
-            for segment_id in ring.segment_ids:
-                meta = ring.client.open_segments.get(segment_id)
-                if meta is None:
-                    continue
-                for server_id in meta.route.replicas:
-                    server = ring.client.servers.get(server_id)
-                    if server is None or not server.alive:
-                        continue
-                    segment = server.segments.get(segment_id)
-                    if segment is None:
-                        continue
-                    for entry in segment.entries.values():
-                        if entry.offset == 0:
-                            continue
-                        _lsn, payload = entry.payload
-                        for record in payload:
-                            if record.lsn > lsn:
-                                records.append(record)
-                    break
-            records.sort(key=lambda r: r.lsn)
-            dedup: List[RedoRecord] = []
-            seen = set()
-            for record in records:
-                if record.lsn not in seen:
-                    seen.add(record.lsn)
-                    dedup.append(record)
-            return dedup
-        return sorted(
-            (r for r in retained if r.lsn > lsn), key=lambda r: r.lsn
-        )
+    def install(self, image) -> None:
+        catalog, pages = image
+        # Keep the live Table objects (sessions and planners hold them);
+        # take over the rebuilt indexes and page bookkeeping instead.
+        self.sync_catalog()
+        for table in self.catalog.tables():
+            if table.name in catalog:
+                table.adopt(catalog.table(table.name))
+        self.pages = pages
+        self.buffer_pool.clear()
 
     def _apply_record(self, record: RedoRecord) -> None:
         self.applied_lsn = max(self.applied_lsn, record.lsn)
@@ -227,8 +147,8 @@ class StandbyReplica:
             self.pages[record.page_id] = page
         elif page.page_lsn >= record.lsn:
             # ARIES-style redo check: the page image already reflects this
-            # record (a post-recovery PageStore scan included it), so the
-            # indexes rebuilt from that image do too - skip maintenance.
+            # record (a rebuild's page scan included it), so the indexes
+            # rebuilt from that image do too - skip maintenance.
             return
         table = self._table_for(record.page_id)
         op = record.op
@@ -352,70 +272,3 @@ class StandbyReplica:
             return table.schema.decode(page.get(slot))
         except KeyError:
             return None
-
-    # ------------------------------------------------------------------
-    # Crash / recovery lifecycle (driven by the serving-layer fleet)
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power-fail the standby: all volatile state is lost.
-
-        The apply loop keeps running but idles until :meth:`recover`
-        flips ``alive`` back on; readers that were mid-flight observe the
-        epoch bump and discard their results.
-        """
-        self.alive = False
-        self.epoch += 1
-        self.crashes += 1
-        if self._feed is not None:
-            # The queue no longer matches our (lost) applied state; the
-            # publisher skips us until the post-recovery rescan.
-            self._feed.stale = True
-            self._feed.clear()
-        self.applied_lsn = 0
-        self.pages.clear()
-        self.buffer_pool.clear()
-        for table in self.catalog.tables():
-            table.clear_indexes()
-            table.free_hints.clear()
-            table.page_nos = []
-
-    def recover(self):
-        """Generator: rebuild from PageStore, then rejoin the REDO feed.
-
-        Scans every primary page through the primary's degraded-read path
-        at that page's authoritative version, rebuilds indexes from the
-        images, and resumes applying at the durable tail captured on
-        entry.  Soundness: a record with LSN <= that tail was applied to
-        the primary's page image before it became durable, so the
-        ``min_lsn``-forced scan reflects it; younger records re-apply
-        through the normal feed, where the page-LSN redo check skips any
-        already present in a scanned image.  Returns pages scanned.
-        """
-        recover_lsn = self.primary.log.persistent_lsn
-        self.sync_catalog()
-        pages_scanned = 0
-        for table in self.catalog.tables():
-            primary_table = self.primary.catalog.table(table.name)
-            for page_no in sorted(primary_table.page_nos):
-                page_id = PageId(table.space_no, page_no)
-                required = self.primary.page_versions.get(page_id, 0)
-                page = yield from self.primary._read_from_pagestore(
-                    page_id, required
-                )
-                self.pages[page_id] = page
-                table.note_page(page_no, page.free_bytes)
-                pages_scanned += 1
-                yield from self.cpu.consume(3 * US * max(1, page.row_count))
-                for slot, raw in page.slots():
-                    values = table.schema.decode(raw)
-                    if table.lookup(table.key_of(values)) is None:
-                        table.index_insert(values, (page_no, slot))
-        self.applied_lsn = recover_lsn
-        self.recoveries += 1
-        self.alive = True
-        return pages_scanned
-
-    @property
-    def lag_lsn(self) -> int:
-        """How far the standby trails the primary's durable tail."""
-        return max(0, self.primary.log.persistent_lsn - self.applied_lsn)

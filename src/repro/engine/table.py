@@ -179,6 +179,15 @@ class Table:
                 return page_no
         return None
 
+    def adopt(self, other: "Table") -> None:
+        """Take over ``other``'s indexes and heap-page bookkeeping."""
+        self.pk_index = other.pk_index
+        self.secondary = other.secondary
+        self.page_nos = other.page_nos
+        self._next_page_no = other._next_page_no
+        self.free_hints = other.free_hints
+        self.row_count = other.row_count
+
     def clear_indexes(self) -> None:
         """Drop index contents (recovery rebuilds them from pages)."""
         self.pk_index = BPlusTree(order=64)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..common import MS, StorageError
+from ..common import MS
 from ..engine.standby import StandbyReplica
 from ..obs import obs_of
 from ..sim.core import Environment
@@ -174,11 +174,10 @@ class ReplicaFleet:
         )
 
     def _restart(self, handle: ReplicaHandle):
-        try:
-            yield from handle.replica.recover()
-        except StorageError:
+        if not (yield from handle.replica.recover()):
             # PageStore could not serve the rebuild (e.g. total outage
-            # mid-recovery): stay drained rather than rejoin half-built.
+            # mid-recovery), or the replica crashed again while
+            # rebuilding: stay drained rather than rejoin half-built.
             self.failed_restarts += 1
             return
         handle.admitted = True

@@ -340,7 +340,7 @@ def bench_ch_slice(quick: bool = False) -> Dict[str, Any]:
         TpcchDatabase,
         ch_query_sql,
     )
-    from .deployment import Deployment, DeploymentConfig
+    from .deployment import Deployment, DeploymentSpec
 
     gc.collect()
     if quick:
@@ -359,7 +359,7 @@ def bench_ch_slice(quick: bool = False) -> Dict[str, Any]:
 
     def build():
         dep = Deployment(
-            DeploymentConfig.astore_pq(
+            DeploymentSpec.astore_pq(
                 seed=42,
                 engine=EngineConfig(buffer_pool_bytes=16 * 16 * KB),
                 ebp_capacity_bytes=128 * MB,

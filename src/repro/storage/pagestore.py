@@ -179,9 +179,10 @@ class PageStoreServer:
     def read_page(self, segment_no: int, page_id: PageId, min_lsn: int):
         """Generator: materialise and return a page image (clone).
 
-        Catches the segment up first so the image reflects at least
-        ``min_lsn``.  Raises if the page is unknown or still behind
-        (caller retries after gossip).
+        Catches the segment up first (applies every connectable record).
+        Raises if the page is unknown, or behind ``min_lsn`` with parked
+        records (caller retries after gossip); behind without parked
+        records, the older image is returned.
         """
         self._check_alive()
         yield from self.catch_up(segment_no)
@@ -321,7 +322,13 @@ class PageStoreService:
     def read_page(self, page_id: PageId, min_lsn: int = 0):
         """Generator: RPC page read with replica failover and gossip fill.
 
-        Returns a fresh :class:`Page` clone at LSN >= min_lsn.
+        Returns a fresh :class:`Page` clone.  ``min_lsn`` is not a
+        guarantee: a replica behind it *with parked records* raises (and
+        the next replica is tried), but one that simply has not received
+        the covering REDO yet returns its older image.  Callers that
+        need ``page_lsn >= min_lsn`` check it themselves
+        (``DBEngine.fetch_page`` re-fetches; a REDO consumer's rebuild
+        force-ships and retries).
         """
         segment_no = self.segment_of(page_id)
         replicas = self.replicas_of(segment_no)

@@ -1,7 +1,7 @@
 """The view maintainer: REDO feed -> deltas -> materialized view state.
 
 One ``ViewMaintainer`` daemon owns every registered view.  Per view it
-subscribes one ``RedoFeed`` cursor on the primary, decodes each durable
+subscribes one ``RedoFeed`` on the primary, decodes each durable
 REDO record into +-1 Z-set deltas, and folds them into the view's state
 (group key -> weighted aggregate states, or a plain Z-set for
 projection views), stamped with an applied-LSN **watermark**: the state
@@ -13,16 +13,15 @@ Decode needs before-images.  Ordinary updates/deletes log their
 aborted insert, which only names the insert's LSN (``compensates``).
 The maintainer therefore remembers insert images per LSN until the
 owning transaction's commit/abort marker, and resolves CLR deletes
-through that map.  Anything unresolvable flips ``needs_rescan``.
+through that map.  Anything unresolvable flips ``needs_rebuild``.
 
-Rescans (initial build, feed overflow, crash recovery, decode miss)
-reuse the standby lifecycle: clear the feed and mark it live, capture
-the durable tail, then fuzzily scan the base table's pages through the
-primary's degraded-read path.  Each scanned page records its page-LSN
-in ``page_seen`` so feed records already reflected in a scanned image
-are skipped (ARIES redo check), and any record not yet durable at the
-captured tail is guaranteed to arrive through the feed (unflushed
-records always carry LSNs above the persistent tail).
+Each ``MaintainedView`` is a :class:`repro.engine.redo.RedoConsumer`
+plug-in: the consumer owns the feed, the poll loop, the crash/recover
+lifecycle and the one catch-up, a fuzzy page rebuild (first build, feed
+overflow, crash recovery, decode miss).  The view supplies the fold of a
+drained batch and the per-page absorb step of the rebuild, which records
+each scanned page's LSN in ``page_seen`` so feed records already
+reflected in a scanned image are skipped (ARIES redo check).
 
 Serving is O(result): finalize the per-group states (or expand the
 Z-set), shape to the querying statement's items, apply its ORDER
@@ -36,7 +35,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..common import MS, US, PageId, QueryError, StorageError
+from ..common import MS, US, PageId, QueryError
+from ..engine.redo import RedoConsumer
 from ..query.aggstate import finalize_groups, new_states, update_states
 from ..query.ast import ColumnRef, Select
 from ..query.executor import (
@@ -57,6 +57,14 @@ __all__ = ["MaintainedView", "ViewMaintainer"]
 FOLD_CPU = 3 * US
 #: Fixed CPU charged per view-served query (shape + dispatch).
 SERVE_CPU = 4 * US
+
+
+def _qualified(table, values) -> Dict[str, Any]:
+    """One decoded base row keyed by qualified column name."""
+    return {
+        "%s.%s" % (table.name, name): value
+        for name, value in zip(table.schema.names, values)
+    }
 
 
 def _fold_row(definition: ViewDefinition, groups, zset: ZSet,
@@ -82,52 +90,23 @@ def _fold_row(definition: ViewDefinition, groups, zset: ZSet,
     return True
 
 
-class MaintainedView:
-    """One view's live state plus its feed cursor and counters."""
+class MaintainedView(RedoConsumer):
+    """One view's live state: a REDO consumer folding deltas."""
 
-    __slots__ = (
-        "definition",
-        "feed",
-        "watermark",
-        "groups",
-        "zset",
-        "page_seen",
-        "page_seen_max",
-        "needs_rescan",
-        "undo_images",
-        "txn_lsns",
-        "records_folded",
-        "deltas_applied",
-        "rescans",
-        "serves",
-        "decode_misses",
-    )
+    record_cpu = FOLD_CPU
+    page_cpu = PAGE_CPU
 
-    def __init__(self, definition: ViewDefinition):
+    def __init__(self, env: Environment, engine, cpu: CpuPool,
+                 definition: ViewDefinition):
+        super().__init__(env, engine, cpu)
         self.definition = definition
-        self.feed = None
         self.records_folded = 0
         self.deltas_applied = 0
-        self.rescans = 0
         self.serves = 0
         self.decode_misses = 0
-        self.reset()
-
-    def reset(self) -> None:
-        """Drop all volatile state (initial build and crash)."""
-        self.watermark = 0
-        #: group key -> [surviving row weight, per-aggregate states].
-        self.groups: "OrderedDict[tuple, list]" = OrderedDict()
-        self.zset = ZSet()
-        #: page -> page-LSN captured by the last fuzzy rescan; feed
-        #: records at or below it are already in the scanned image.
-        self.page_seen: Dict[PageId, int] = {}
-        self.page_seen_max = 0
-        self.needs_rescan = True
-        #: insert LSN -> row image, for resolving insert-compensating
-        #: CLR deletes (the only records without a logged before-image).
-        self.undo_images: Dict[int, bytes] = {}
-        self.txn_lsns: Dict[int, List[int]] = {}
+        # The first build is a rebuild even on a fresh primary.
+        self.needs_rebuild = True
+        self.install(self.new_image())
 
     @property
     def size(self) -> int:
@@ -136,20 +115,147 @@ class MaintainedView:
     def stats(self) -> Dict[str, int]:
         feed = self.feed
         return {
-            "watermark": self.watermark,
+            "watermark": self.applied_lsn,
             "size": self.size,
             "records_folded": self.records_folded,
             "deltas_applied": self.deltas_applied,
-            "rescans": self.rescans,
+            "rescans": self.rebuilds,
             "serves": self.serves,
             "decode_misses": self.decode_misses,
             "feed_depth": len(feed) if feed is not None else 0,
             "feed_overflows": feed.overflows if feed is not None else 0,
         }
 
+    # ------------------------------------------------------------------
+    # RedoConsumer plug-in: the rebuild image
+    # ------------------------------------------------------------------
+    def rebuild_tables(self):
+        try:
+            return [self.primary.catalog.table(self.definition.table)]
+        except QueryError:
+            return []  # Not created yet: the view starts empty.
+
+    def new_image(self):
+        """(groups, zset, page_seen), all empty."""
+        return OrderedDict(), ZSet(), {}
+
+    def absorb(self, image, table, page) -> None:
+        groups, zset, page_seen = image
+        page_seen[page.page_id] = page.page_lsn
+        for _slot, raw in page.slots():
+            row = _qualified(table, table.schema.decode(raw))
+            _fold_row(self.definition, groups, zset, row, 1)
+
+    def install(self, image) -> None:
+        groups, zset, page_seen = image
+        #: group key -> [surviving row weight, per-aggregate states].
+        self.groups: "OrderedDict[tuple, list]" = groups
+        self.zset = zset
+        #: page -> page-LSN captured by the last rebuild; feed records
+        #: at or below it are already in the scanned image.
+        self.page_seen: Dict[PageId, int] = page_seen
+        self.page_seen_max = max(page_seen.values()) if page_seen else 0
+        #: insert LSN -> row image, for resolving insert-compensating
+        #: CLR deletes (the only records without a logged before-image).
+        self.undo_images: Dict[int, bytes] = {}
+        self.txn_lsns: Dict[int, List[int]] = {}
+
+    # ------------------------------------------------------------------
+    # RedoConsumer plug-in: folding a drained batch
+    # ------------------------------------------------------------------
+    def apply(self, batch) -> None:
+        """Host-side: decode and fold one LSN-ordered durable batch.
+
+        The watermark (``applied_lsn``) only advances past records
+        actually folded (or provably irrelevant), so on a decode miss
+        the state still equals the fold of everything <= the watermark
+        and serving stays sound while the rebuild is pending.
+        """
+        catalog = self.primary.catalog
+        definition = self.definition
+        for record in batch:
+            if record.is_marker:
+                self._evict_images(record)
+                self.applied_lsn = max(self.applied_lsn, record.lsn)
+                continue
+            op = record.op
+            if op.kind == "format":
+                self.applied_lsn = max(self.applied_lsn, record.lsn)
+                continue
+            try:
+                table = catalog.by_space(record.page_id.space_no)
+            except QueryError:
+                table = None
+            if table is None or table.name != definition.table:
+                self.applied_lsn = max(self.applied_lsn, record.lsn)
+                continue
+            if (
+                self.page_seen
+                and record.lsn <= self.page_seen.get(record.page_id, 0)
+            ):
+                # Rebuild overlap: the scanned image already holds this
+                # record's effect.  Still remember insert images — a
+                # post-rebuild CLR delete may compensate this insert.
+                if op.kind == "insert":
+                    self._remember(record)
+                self.applied_lsn = max(self.applied_lsn, record.lsn)
+                continue
+            deltas = self._deltas_of(table, record)
+            if deltas is None:
+                self.decode_misses += 1
+                self.needs_rebuild = True
+                return
+            for values, weight in deltas:
+                row = _qualified(table, values)
+                if _fold_row(definition, self.groups, self.zset, row, weight):
+                    self.deltas_applied += 1
+            self.records_folded += 1
+            self.applied_lsn = max(self.applied_lsn, record.lsn)
+        if self.page_seen and self.applied_lsn >= self.page_seen_max:
+            # Every in-flight record from the rebuild window has drained.
+            self.page_seen.clear()
+
+    def _deltas_of(self, table, record):
+        """(decoded values, weight) deltas for one record; None = miss."""
+        op = record.op
+        decode = table.schema.decode
+        if op.kind == "insert":
+            self._remember(record)
+            return [(decode(op.row), 1)]
+        if op.kind == "update":
+            old_row = record.undo_row
+            if old_row is None:
+                old_row = self._recall(record)
+                if old_row is None:
+                    return None
+            return [(decode(old_row), -1), (decode(op.row), 1)]
+        if op.kind == "delete":
+            old_row = record.undo_row
+            if old_row is None:
+                old_row = self._recall(record)
+                if old_row is None:
+                    return None
+            return [(decode(old_row), -1)]
+        return []
+
+    def _remember(self, record) -> None:
+        self.undo_images[record.lsn] = record.op.row
+        self.txn_lsns.setdefault(record.txn_id, []).append(record.lsn)
+
+    def _recall(self, record) -> Optional[bytes]:
+        if record.clr and record.compensates >= 0:
+            return self.undo_images.get(record.compensates)
+        return None
+
+    def _evict_images(self, marker) -> None:
+        lsns = self.txn_lsns.pop(marker.txn_id, None)
+        if lsns:
+            for lsn in lsns:
+                self.undo_images.pop(lsn, None)
+
 
 class ViewMaintainer:
-    """Drains one REDO feed per view and serves eligible SELECTs."""
+    """Runs one REDO consumer per view and serves eligible SELECTs."""
 
     def __init__(
         self,
@@ -165,23 +271,33 @@ class ViewMaintainer:
         self.engine = engine
         self.cpu = CpuPool(env, cores=cores)
         self.feed_bound = feed_bound
-        self.poll_interval = poll_interval
         self.wait_poll = wait_poll
         self.views: "OrderedDict[str, MaintainedView]" = OrderedDict()
         for definition in definitions:
             if definition.name in self.views:
                 raise QueryError("duplicate view name %r" % definition.name)
-            self.views[definition.name] = MaintainedView(definition)
+            self.views[definition.name] = MaintainedView(
+                env, engine, self.cpu, definition
+            )
+        self.poll_interval = poll_interval
         #: False between :meth:`crash` and :meth:`recover`.
         self.alive = True
-        #: Bumped per crash; in-flight folds/scans/serves that straddle
-        #: a crash observe the bump and discard their work.
-        self.epoch = 0
         self.crashes = 0
         self.recoveries = 0
         self.lsn_waits = 0
         self.lsn_wait_timeouts = 0
         self._started = False
+
+    @property
+    def poll_interval(self) -> float:
+        return self._poll_interval
+
+    @poll_interval.setter
+    def poll_interval(self, value: float) -> None:
+        """Every view's poll cadence (an operator may stall them all)."""
+        self._poll_interval = value
+        for view in self.views.values():
+            view.poll_interval = value
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -191,245 +307,28 @@ class ViewMaintainer:
             return
         self._started = True
         for view in self.views.values():
-            view.feed = self.engine.subscribe_redo(bound=self.feed_bound)
-            self.env.process(
-                self._apply_loop(view),
-                name="view-%s" % view.definition.name,
-            )
+            view.start(self.poll_interval, bound=self.feed_bound,
+                       name="view-%s" % view.definition.name)
 
     def crash(self) -> None:
         """Lose all volatile view state (the standby crash model)."""
         if not self.alive:
             return
         self.alive = False
-        self.epoch += 1
         self.crashes += 1
         for view in self.views.values():
-            view.reset()
-            if view.feed is not None:
-                view.feed.stale = True
-                view.feed.clear()
+            view.crash()
 
     def recover(self) -> None:
-        """Come back up; the apply loops rebuild every view by rescan."""
+        """Come back up: every view rebuilds, then rejoins its feed."""
         if self.alive:
             return
         self.alive = True
         self.recoveries += 1
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def _apply_loop(self, view: MaintainedView):
-        env = self.env
-        while True:
-            yield env.timeout(self.poll_interval)
-            if not self.alive:
-                continue
-            if view.needs_rescan or view.feed.stale:
-                yield from self._rescan(view)
-                continue
-            batch = view.feed.drain()
-            if batch and batch[0].lsn <= view.watermark:
-                # Safety net: drop records a rescan already covered.
-                applied = view.watermark
-                batch = [r for r in batch if r.lsn > applied]
-            if not batch:
-                continue
-            epoch = self.epoch
-            yield from self.cpu.consume(FOLD_CPU * len(batch))
-            if not self.alive or self.epoch != epoch:
-                continue
-            self._fold(view, batch)
-
-    def _fold(self, view: MaintainedView, batch) -> None:
-        """Host-side: decode and fold one LSN-ordered durable batch.
-
-        The watermark only advances past records actually folded (or
-        provably irrelevant), so on a decode miss the state still equals
-        the fold of everything <= the watermark and serving stays sound
-        while the rescan is pending.
-        """
-        catalog = self.engine.catalog
-        definition = view.definition
-        for record in batch:
-            if record.is_marker:
-                self._evict_images(view, record)
-                view.watermark = max(view.watermark, record.lsn)
-                continue
-            op = record.op
-            if op.kind == "format":
-                view.watermark = max(view.watermark, record.lsn)
-                continue
-            try:
-                table = catalog.by_space(record.page_id.space_no)
-            except QueryError:
-                table = None
-            if table is None or table.name != definition.table:
-                view.watermark = max(view.watermark, record.lsn)
-                continue
-            if (
-                view.page_seen
-                and record.lsn <= view.page_seen.get(record.page_id, 0)
-            ):
-                # Fuzzy-rescan overlap: the scanned image already holds
-                # this record's effect.  Still remember insert images —
-                # a post-rescan CLR delete may compensate this insert.
-                if op.kind == "insert":
-                    self._remember(view, record)
-                view.watermark = max(view.watermark, record.lsn)
-                continue
-            deltas = self._deltas_of(view, table, record)
-            if deltas is None:
-                view.decode_misses += 1
-                view.needs_rescan = True
-                return
-            for values, weight in deltas:
-                row = {
-                    "%s.%s" % (table.name, name): value
-                    for name, value in zip(table.schema.names, values)
-                }
-                if _fold_row(definition, view.groups, view.zset, row, weight):
-                    view.deltas_applied += 1
-            view.records_folded += 1
-            view.watermark = max(view.watermark, record.lsn)
-        if view.page_seen and view.watermark >= view.page_seen_max:
-            # Every in-flight record from the rescan window has drained.
-            view.page_seen.clear()
-
-    def _deltas_of(self, view, table, record):
-        """(decoded values, weight) deltas for one record; None = miss."""
-        op = record.op
-        decode = table.schema.decode
-        if op.kind == "insert":
-            self._remember(view, record)
-            return [(decode(op.row), 1)]
-        if op.kind == "update":
-            old_row = record.undo_row
-            if old_row is None:
-                old_row = self._recall(view, record)
-                if old_row is None:
-                    return None
-            return [(decode(old_row), -1), (decode(op.row), 1)]
-        if op.kind == "delete":
-            old_row = record.undo_row
-            if old_row is None:
-                old_row = self._recall(view, record)
-                if old_row is None:
-                    return None
-            return [(decode(old_row), -1)]
-        return []
-
-    @staticmethod
-    def _remember(view: MaintainedView, record) -> None:
-        view.undo_images[record.lsn] = record.op.row
-        view.txn_lsns.setdefault(record.txn_id, []).append(record.lsn)
-
-    @staticmethod
-    def _recall(view: MaintainedView, record) -> Optional[bytes]:
-        if record.clr and record.compensates >= 0:
-            return view.undo_images.get(record.compensates)
-        return None
-
-    @staticmethod
-    def _evict_images(view: MaintainedView, marker) -> None:
-        lsns = view.txn_lsns.pop(marker.txn_id, None)
-        if lsns:
-            for lsn in lsns:
-                view.undo_images.pop(lsn, None)
-
-    def _read_page_fresh(self, page_id: PageId, required: int):
-        """Generator: a page image at LSN >= ``required``, or StorageError.
-
-        The store can silently serve an image *behind* ``min_lsn`` while
-        the covering REDO still sits in the primary's ship queue (only a
-        parked replica raises).  ``fetch_page`` papers over that with a
-        staleness re-check; the standby tolerates it because its feed
-        still holds the gap records.  A rescan cannot — it just cleared
-        the feed — so force a ship and retry until the image is fresh.
-        """
-        engine = self.engine
-        attempts = 0
-        while True:
-            page = yield from engine._read_from_pagestore(page_id, required)
-            if page.page_lsn >= required:
-                return page
-            attempts += 1
-            if attempts > 8:
-                raise StorageError(
-                    "page %s stuck at %d, need %d"
-                    % (page_id, page.page_lsn, required)
-                )
-            if engine._ship_queue:
-                batch, engine._ship_queue = engine._ship_queue, []
-                yield from engine.pagestore.ship_records(batch)
-                engine.shipped_lsn = max(engine.shipped_lsn, batch[-1].lsn)
-            yield self.env.timeout(0.5 * MS)
-
-    def _rescan(self, view: MaintainedView):
-        """Generator: rebuild ``view`` by a fuzzy base-table page scan.
-
-        Mirrors ``StandbyReplica.recover``: clear the feed and mark it
-        live *in the same host-side step* as capturing the durable tail
-        (so no publish slips between), scan every page through the
-        primary's degraded-read path at its authoritative version, and
-        stamp the watermark with the captured tail.  Records seen by the
-        scan but not yet durable at the tail re-arrive via the feed and
-        are skipped by the per-page ``page_seen`` redo check.
-        """
-        engine = self.engine
-        while True:
-            epoch = self.epoch
-            feed = view.feed
-            feed.clear()
-            feed.stale = False
-            view.needs_rescan = False
-            recover_lsn = engine.log.persistent_lsn
-            view.rescans += 1
-            groups: "OrderedDict[tuple, list]" = OrderedDict()
-            zset = ZSet()
-            page_seen: Dict[PageId, int] = {}
-            definition = view.definition
-            try:
-                table = engine.catalog.table(definition.table)
-            except QueryError:
-                table = None  # Not created yet: the view starts empty.
-            if table is not None:
-                for page_no in sorted(table.page_nos):
-                    page_id = PageId(table.space_no, page_no)
-                    required = engine.page_versions.get(page_id, 0)
-                    try:
-                        page = yield from self._read_page_fresh(
-                            page_id, required
-                        )
-                    except StorageError:
-                        # Storage degraded: leave the old state serving
-                        # and retry on a later poll.
-                        view.needs_rescan = True
-                        return
-                    yield from self.cpu.consume(
-                        PAGE_CPU + FOLD_CPU * max(1, page.row_count)
-                    )
-                    if not self.alive or self.epoch != epoch:
-                        return  # Crashed mid-scan; recovery rescans.
-                    page_seen[page_id] = page.page_lsn
-                    for _slot, raw in page.slots():
-                        values = table.schema.decode(raw)
-                        row = {
-                            "%s.%s" % (table.name, name): value
-                            for name, value in zip(table.schema.names, values)
-                        }
-                        _fold_row(definition, groups, zset, row, 1)
-            if feed.stale:
-                continue  # Overflowed again while scanning; go around.
-            view.groups = groups
-            view.zset = zset
-            view.page_seen = page_seen
-            view.page_seen_max = max(page_seen.values()) if page_seen else 0
-            view.watermark = recover_lsn
-            view.undo_images.clear()
-            view.txn_lsns.clear()
-            return
+        for view in self.views.values():
+            self.env.process(
+                view.recover(), name="view-%s-recover" % view.definition.name
+            )
 
     # ------------------------------------------------------------------
     # Serving
@@ -463,17 +362,17 @@ class ViewMaintainer:
 
     def wait_for_lsn(self, view: MaintainedView, lsn: int, max_wait: float):
         """Generator: True once the view watermark covers ``lsn``."""
-        if not self.alive:
+        if not view.alive:
             return False
-        if view.watermark >= lsn:
+        if view.applied_lsn >= lsn:
             return True
         self.lsn_waits += 1
         deadline = self.env.now + max_wait
         while True:
             yield self.env.timeout(self.wait_poll)
-            if self.alive and view.watermark >= lsn:
+            if view.alive and view.applied_lsn >= lsn:
                 return True
-            if not self.alive or self.env.now >= deadline:
+            if not view.alive or self.env.now >= deadline:
                 self.lsn_wait_timeouts += 1
                 return False
 
@@ -488,14 +387,14 @@ class ViewMaintainer:
         executor's own projection, ORDER BY and LIMIT shaping.
         """
         definition = view.definition
-        epoch = self.epoch
+        epoch = view.epoch
         units = view.size if view.size else 1
         if statement.order_by:
             import math
 
             units += units * max(1.0, math.log2(max(units, 2)))
         yield from self.cpu.consume(SERVE_CPU + ROW_CPU * units)
-        if not self.alive or self.epoch != epoch:
+        if not view.alive or view.epoch != epoch:
             return None
         columns = [item.output_name for item in statement.items]
         if definition.is_aggregate:
@@ -528,16 +427,9 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     def caught_up(self) -> bool:
         """True when every view is live and folded to the durable tail."""
-        if not self.alive:
-            return False
-        tail = self.engine.log.persistent_lsn
-        for view in self.views.values():
-            feed = view.feed
-            if feed is None or feed.stale or view.needs_rescan:
-                return False
-            if len(feed) or view.watermark < tail:
-                return False
-        return True
+        return self.alive and all(
+            view.caught_up() for view in self.views.values()
+        )
 
     def counters(self) -> Dict[str, int]:
         views = self.views.values()
@@ -550,7 +442,7 @@ class ViewMaintainer:
             "lsn_wait_timeouts": self.lsn_wait_timeouts,
             "records_folded": sum(v.records_folded for v in views),
             "deltas_applied": sum(v.deltas_applied for v in views),
-            "rescans": sum(v.rescans for v in views),
+            "rescans": sum(v.rebuilds for v in views),
             "serves": sum(v.serves for v in views),
             "decode_misses": sum(v.decode_misses for v in views),
         }

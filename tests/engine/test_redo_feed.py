@@ -1,13 +1,12 @@
-"""Tests for the incremental REDO feed (push) vs full-rescan polling."""
+"""Tests for the incremental REDO feed and the consumer that drains it."""
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.engine.codec import INT, VARCHAR, Column, Schema
-from repro.engine.dbengine import DBEngine
 from repro.engine.standby import StandbyReplica
 
 
 def build():
-    dep = Deployment(DeploymentConfig.astore_ebp(seed=19))
+    dep = Deployment(DeploymentSpec.astore_ebp(seed=19))
     dep.start()
     engine = dep.engine
     engine.create_table(
@@ -26,26 +25,22 @@ def run(dep, gen):
 
 def capture_batches(standby, lsns):
     """Record every LSN the standby applies, in application order."""
-    original = standby._next_batch
+    original = standby.apply
 
-    def wrapped():
-        batch = original()
+    def wrapped(batch):
         lsns.extend(record.lsn for record in batch)
-        return batch
+        original(batch)
 
-    standby._next_batch = wrapped
+    standby.apply = wrapped
 
 
 def test_feed_applies_identical_lsn_sequence_as_rescan():
     dep = build()
     engine = dep.engine
-    fed = StandbyReplica(dep.env, engine, use_feed=True)
-    polled = StandbyReplica(dep.env, engine, use_feed=False)
+    fed = StandbyReplica(dep.env, engine)
     fed.start()
-    polled.start()
-    fed_lsns, polled_lsns = [], []
+    fed_lsns = []
     capture_batches(fed, fed_lsns)
-    capture_batches(polled, polled_lsns)
 
     def work(env):
         for wave in range(6):
@@ -58,23 +53,22 @@ def test_feed_applies_identical_lsn_sequence_as_rescan():
         yield env.timeout(0.05)
 
     run(dep, work(dep.env))
-    assert fed._feed is not None and polled._feed is None
-    assert fed_lsns and fed_lsns == polled_lsns
-    assert fed.applied_lsn == polled.applied_lsn
-    assert fed.records_applied == polled.records_applied
-    assert fed._feed.published > 0
-    # One initial sync rescan (the feed subscribes stale), then pure push.
-    assert fed.feed_rescans == 1
+    durable = run(dep, engine.log_backend.recover())
+    # Subscribed before any REDO was durable: the feed starts live and
+    # delivers the whole durable log, in order, with no rebuild.
+    assert fed_lsns and fed_lsns == [record.lsn for record in durable]
+    assert fed.applied_lsn == engine.log.persistent_lsn
+    assert fed.records_applied == len(durable)
+    assert fed.feed.published == len(durable)
+    assert fed.rebuilds == 0
     for key in (0, 35, 59):
-        a = run(dep, fed.read_row("kv", (key,)))
-        b = run(dep, polled.read_row("kv", (key,)))
-        assert a == b and a is not None
+        assert run(dep, fed.read_row("kv", (key,))) == [key, "w%d" % (key // 10)]
 
 
 def test_feed_crash_recover_rejoins_via_rescan():
     dep = build()
     engine = dep.engine
-    standby = StandbyReplica(dep.env, engine, use_feed=True)
+    standby = StandbyReplica(dep.env, engine)
     standby.start()
 
     def phase(env, base):
@@ -85,27 +79,31 @@ def test_feed_crash_recover_rejoins_via_rescan():
         yield env.timeout(0.05)
 
     run(dep, phase(dep.env, 0))
-    rescans_before = standby.feed_rescans
     standby.crash()
-    assert standby._feed.stale  # crash poisons the cursor
-    assert len(standby._feed.store) == 0
+    assert standby.feed.stale  # crash poisons the feed
+    assert len(standby.feed) == 0
 
     run(dep, phase(dep.env, 100))  # lands while the standby is down
-    run(dep, standby.recover())
+    assert run(dep, standby.recover())
+    assert standby.rebuilds == 1
     run(dep, phase(dep.env, 200))  # applied via the feed after rejoin
 
-    assert standby.feed_rescans > rescans_before
+    assert standby.rebuilds == 1
     for key in (5, 105, 205):
         row = run(dep, standby.read_row("kv", (key,)))
         assert row == [key, "v"]
-    polled = StandbyReplica(dep.env, engine, use_feed=False)
-    polled.start()
+    assert standby.applied_lsn == engine.log.persistent_lsn
+    # A standby attached now catches up by the same rebuild.
+    late = StandbyReplica(dep.env, engine)
+    late.start()
 
     def settle(env):
         yield env.timeout(0.05)
 
     run(dep, settle(dep.env))
-    assert polled.applied_lsn == standby.applied_lsn
+    assert late.rebuilds == 1
+    assert late.applied_lsn == standby.applied_lsn
+    assert run(dep, late.read_row("kv", (105,))) == [105, "v"]
 
 
 def test_feed_overflow_falls_back_to_rescan():
@@ -123,19 +121,30 @@ def test_feed_overflow_falls_back_to_rescan():
     run(dep, work(dep.env))
     assert feed.stale  # 10 records overflow the bound of 4
     assert feed.overflows == 1
-    assert len(feed.store) == 0  # cleared, subscriber must rescan
+    assert len(feed) == 0  # cleared, subscriber must rebuild
 
 
-def test_serve_report_identical_with_feed_disabled(monkeypatch):
-    """Push feed vs rescan polling: byte-identical serving reports under
-    replica_crash/replica_restart chaos (incl. rejoin after rebuild)."""
-    from repro.frontend.serve import run_serving
+def test_standby_overflow_rebuilds_while_serving():
+    dep = build()
+    engine = dep.engine
+    standby = StandbyReplica(dep.env, engine)
+    standby.start(poll_interval=0.02, bound=8)
 
-    with_feed = run_serving(seed=7, duration=0.25)
-    monkeypatch.setattr(DBEngine, "subscribe_redo", None)
-    without_feed = run_serving(seed=7, duration=0.25)
-    assert with_feed == without_feed
-    assert any("crashed replica" in entry
-               for entry in with_feed["chaos_log"])
-    assert any("restarted replica" in entry
-               for entry in with_feed["chaos_log"])
+    def load(env, base, count):
+        txn = engine.begin()
+        for i in range(base, base + count):
+            yield from engine.insert(txn, "kv", [i, "v"])
+        yield from engine.commit(txn)
+
+    run(dep, load(dep.env, 0, 4))
+    dep.run_for(0.05)
+    assert standby.rebuilds == 0 and standby.applied_lsn > 0
+    run(dep, load(dep.env, 100, 30))  # 30 records overflow the bound of 8
+    assert standby.feed.overflows == 1
+    # Until the rebuild installs, the standby keeps serving its old state.
+    assert run(dep, standby.read_row("kv", (2,))) == [2, "v"]
+    dep.run_for(0.1)
+    assert standby.rebuilds == 1
+    assert standby.lag_lsn == 0
+    assert run(dep, standby.read_row("kv", (129,))) == [129, "v"]
+    assert standby.catalog.table("kv").row_count == 34

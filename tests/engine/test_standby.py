@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.common import KB, MB
 from repro.engine.codec import INT, VARCHAR, Column, Schema
 from repro.engine.dbengine import EngineConfig
@@ -10,7 +10,7 @@ from repro.engine.standby import StandbyReplica
 
 
 def build(kind="astore_ebp", **kwargs):
-    factory = getattr(DeploymentConfig, kind)
+    factory = getattr(DeploymentSpec, kind)
     dep = Deployment(factory(seed=19, **kwargs))
     dep.start()
     engine = dep.engine
@@ -272,8 +272,7 @@ def test_standby_crash_loses_state_and_recover_rebuilds():
 
     run(dep, while_down(dep.env))
 
-    pages_scanned = run(dep, standby.recover())
-    assert pages_scanned > 0
+    assert run(dep, standby.recover()) is True
     assert standby.alive
     assert standby.recoveries == 1
     assert standby.applied_lsn > 0
@@ -323,3 +322,163 @@ def test_standby_keeps_applying_after_recovery():
     assert tagged == [3, 55]
     assert standby.applied_lsn > applied_at_recovery
     assert standby.recoveries == 1
+
+
+def test_recover_after_durable_unshipped_update_sees_it():
+    # The update is durable (committed) but still queued for PageStore
+    # when recovery starts: the rebuild must not settle for the older
+    # image PageStore still holds.
+    dep = build()
+    standby = make_standby(dep)
+    engine = dep.engine
+
+    def load(env):
+        txn = engine.begin()
+        for i in range(10):
+            yield from engine.insert(txn, "kv", [i, 0, "old"])
+        yield from engine.commit(txn)
+        yield env.timeout(0.05)
+
+    run(dep, load(dep.env))
+    standby.crash()
+
+    def update_then_recover(env):
+        txn = engine.begin()
+        yield from engine.update(txn, "kv", (3,), {"v": "new"})
+        yield from engine.commit(txn)
+        unshipped = engine.shipped_lsn < engine.log.persistent_lsn
+        yield from standby.recover()
+        yield env.timeout(0.05)
+        row = yield from standby.read_row("kv", (3,))
+        return unshipped, row
+
+    unshipped, row = run(dep, update_then_recover(dep.env))
+    assert unshipped
+    assert row == [3, 0, "new"]
+    assert standby.applied_lsn == engine.log.persistent_lsn
+
+
+def fleet_with_rows(rows=1200):
+    """One-replica fleet over ``rows`` wide rows, replica caught up."""
+    from repro.harness.deployment import DeploymentSpec
+
+    dep = DeploymentSpec.astore_ebp(seed=19).with_replicas(1).build()
+    dep.start()
+    dep.engine.create_table(
+        "kv",
+        Schema([Column("k", INT()), Column("tag", INT()),
+                Column("v", VARCHAR(200))]),
+        ["k"],
+    )
+    dep.fleet.sync_catalogs()
+    run(dep, insert_rows(dep.engine, 0, rows))
+    dep.run_for(0.05)
+    return dep
+
+
+def insert_rows(engine, first, count, batch=300):
+    for start in range(first, first + count, batch):
+        txn = engine.begin()
+        for i in range(start, min(start + batch, first + count)):
+            yield from engine.insert(txn, "kv", [i, 0, "p" * 150])
+        yield from engine.commit(txn)
+
+
+def test_crash_during_recover_is_not_readmitted():
+    dep = fleet_with_rows()
+    fleet = dep.fleet
+    handle = fleet.handles[0]
+    replica = handle.replica
+    fleet.crash("replica-0")
+    fleet.health_sweep()
+    fleet.restart("replica-0")
+    dep.run_for(0.002)  # recovery is part-way through its page scan
+    assert not replica.alive and fleet.rejoins == 0
+    epoch = replica.epoch
+    fleet.crash("replica-0")
+    assert replica.epoch == epoch + 1
+    dep.run_for(0.3)
+    assert not replica.alive
+    assert not handle.admitted
+    assert fleet.rejoins == 0
+
+    # A later restart rebuilds the replica completely.
+    fleet.restart("replica-0")
+    dep.run_for(0.3)
+    assert replica.alive and handle.admitted
+    assert replica.lag_lsn == 0
+    assert replica.catalog.table("kv").row_count == 1200
+
+
+def test_overlapping_restarts_rebuild_every_row():
+    # A second restart while the first is still rebuilding supersedes
+    # it; writes keep landing throughout.
+    dep = fleet_with_rows()
+    fleet = dep.fleet
+    replica = fleet.handles[0].replica
+    fleet.crash("replica-0")
+    fleet.health_sweep()
+    fleet.restart("replica-0")
+    dep.run_for(0.001)
+    fleet.restart("replica-0")
+
+    def writer(env):
+        for first in range(2000, 2600, 20):
+            yield from insert_rows(dep.engine, first, 20)
+            yield env.timeout(0.0005)
+
+    run(dep, writer(dep.env))
+    dep.run_for(0.1)
+    assert replica.alive and replica.lag_lsn == 0
+    assert fleet.rejoins == 1
+    assert replica.catalog.table("kv").row_count == 1800
+
+
+def test_standby_attached_after_log_recycling_sees_every_row():
+    from tests.harness.test_log_recycling import tiny_ring_deployment
+
+    dep = tiny_ring_deployment()
+    engine = dep.engine
+
+    def work(env):
+        for i in range(400):
+            txn = engine.begin()
+            yield from engine.insert(txn, "t", [i, "x" * 60])
+            yield from engine.commit(txn)
+        yield env.timeout(0.05)
+
+    run(dep, work(dep.env))
+    assert dep.ring.segment_advances >= 3  # early REDO was recycled
+    standby = make_standby(dep)
+
+    def settle(env):
+        yield env.timeout(0.1)
+        first = yield from standby.read_row("t", (0,))
+        return first
+
+    assert run(dep, settle(dep.env)) == [0, "x" * 60]
+    assert standby.lag_lsn == 0
+    assert standby.catalog.table("t").row_count == 400
+
+
+def test_recovered_standby_sql_scan_sees_every_row():
+    # Recovery must restore the standby's heap-page bookkeeping, not
+    # just its indexes: SQL sequential scans walk ``table.page_nos``.
+    from repro.query.executor import QuerySession
+
+    dep = build()
+    standby = make_standby(dep)
+    engine = dep.engine
+
+    def load(env):
+        txn = engine.begin()
+        for i in range(30):
+            yield from engine.insert(txn, "kv", [i, i % 4, "v"])
+        yield from engine.commit(txn)
+        yield env.timeout(0.05)
+
+    run(dep, load(dep.env))
+    standby.crash()
+    assert run(dep, standby.recover())
+    result = run(dep, QuerySession(standby).execute("SELECT COUNT(*) FROM kv"))
+    assert result.rows == [(30,)]

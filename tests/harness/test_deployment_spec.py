@@ -3,7 +3,6 @@
 import pytest
 
 from repro import MB, DeploymentSpec
-from repro.harness.deployment import Deployment, DeploymentConfig
 from repro.harness.stats import collect_stats, format_stats
 
 
@@ -48,14 +47,6 @@ def test_build_stands_up_a_deployment():
     assert dep.config.seed == 11
     assert dep.ebp is not None
     assert dep.astore is not None
-
-
-def test_deployment_config_shim_still_works():
-    # Pre-redesign construction path must run unchanged.
-    dep = Deployment(DeploymentConfig.astore_pq(seed=5))
-    dep.start()
-    assert isinstance(dep.config, DeploymentSpec)
-    assert dep.config.enable_pushdown
 
 
 def test_tracing_flag_wires_a_recording_tracer():

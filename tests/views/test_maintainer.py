@@ -141,7 +141,7 @@ def test_feed_overflow_forces_rescan_and_stays_exact():
     settle(dep)
     maintainer = dep.views
     view = maintainer.views["by_grp"]
-    rescans_before = view.rescans
+    rescans_before = view.rebuilds
 
     # Stall the apply loop so publishes pile past the 16-record bound.
     poll_before = maintainer.poll_interval
@@ -152,7 +152,7 @@ def test_feed_overflow_forces_rescan_and_stays_exact():
     settle(dep)
 
     assert view.feed.overflows >= 1
-    assert view.rescans > rescans_before
+    assert view.rebuilds > rescans_before
     parity(dep, session, QUERY)
     assert session.last_route == "view:by_grp"
 

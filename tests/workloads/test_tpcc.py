@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Deployment, DeploymentConfig
+from repro import Deployment, DeploymentSpec
 from repro.sim.core import AllOf
 from repro.workloads.tpcc import TpccClient, TpccConfig, TpccDatabase, _c_last
 
@@ -13,7 +13,7 @@ SMALL = TpccConfig(
 
 
 def build(config=SMALL, seed=11):
-    dep = Deployment(DeploymentConfig.astore_log(seed=seed))
+    dep = Deployment(DeploymentSpec.astore_log(seed=seed))
     dep.start()
     database = TpccDatabase(dep.engine, config, dep.seeds.stream("load"))
     proc = dep.env.process(database.load())
@@ -195,7 +195,7 @@ def test_short_run_leaves_no_finished_processes_behind():
     from repro.workloads.tpcc import run_tpcc
 
     clients = 4
-    dep = Deployment(DeploymentConfig.astore_log(seed=11))
+    dep = Deployment(DeploymentSpec.astore_log(seed=11))
     dep.start()
     _, aggregate, _ = run_tpcc(dep, SMALL, clients=clients, duration=0.02)
     assert aggregate.count > 100
